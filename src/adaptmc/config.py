@@ -236,12 +236,10 @@ def _cross_checks(cfg, chk):
     variant = tun.get("variant") if isinstance(tun, dict) else None
     wants = {"discrete-ar": "discrete-base", "gaussian-ar": "ar-coef",
              "discrete-rwm": "matrix-scale", "ula": "langevin",
-             "diffusion": "langevin"}
+             "diffusion": "matrix-scale"}
     if fam in wants and variant is not None and variant != wants[fam]:
         chk.add("init.tuning.variant",
                 f"kernel '{fam}' needs variant '{wants[fam]}'")
-    if fam == "ula" and isinstance(tun, dict) and "matrix" not in (tun or {}):
-        pass
     if fam == "ula" and isinstance(tun, dict):
         h = tun.get("step")
         hess = kern.get("hessian")

@@ -246,11 +246,6 @@ class EmpiricalMeasure:
         self.points = pts
         self.weights = w
 
-    @classmethod
-    def from_samples(cls, samples):
-        """Uniform-weight measure on the given sample array."""
-        return cls(samples)
-
     @property
     def support_size(self):
         return self.points.shape[0]

@@ -131,29 +131,27 @@ def _tail_curve(m_hat, n_max):
     return grid, probs
 
 
-def _exact_distance_curve(kernel, tuning, x, n_max):
+def _closed_form_distances(kernel, tuning, x, t_max):
+    # exact distances to the invariant law after t = 0..t_max frozen steps:
+    # W1 of the g^t atoms (x+m)/g^t to Unif[0, 1) for the base-g chain,
+    # W2 of N(g^t x, (1-g^(2t)) C) to N(0, C) for the Gaussian AR chain
+    g = tuning.gamma
     if isinstance(kernel, DiscreteAr):
-        g = tuning.gamma
-        out = []
-        for n in range(n_max + 1):
-            if g ** n > ATOM_CAP:
-                raise SizeCap("gamma^n exceeds the exact-atom cap")
-            m = np.arange(g ** n, dtype=float)
-            atoms = (float(x) + m) / g ** n
-            out.append(w1_atoms_vs_uniform01(atoms))
-        return np.asarray(out)
+        if g ** t_max > ATOM_CAP:
+            raise SizeCap("gamma^t_max exceeds the exact-atom cap")
+        return np.array([
+            w1_atoms_vs_uniform01((float(x) + np.arange(g ** t, dtype=float))
+                                  / g ** t)
+            for t in range(t_max + 1)])
     if isinstance(kernel, GaussianAr):
-        g = tuning.gamma
         cov = kernel.cov.entries
         mean0 = np.zeros(kernel.dim)
         x = np.asarray(x, dtype=float)
-        out = []
-        for n in range(n_max + 1):
-            w2 = w2_gaussian(g ** n * x, (1.0 - g ** (2 * n)) * cov,
-                             mean0, cov)
-            out.append(min(w2, 1.0))  # capped metric upper bound
-        return np.asarray(out)
-    raise DomainError("exact distance path needs DiscreteAr or GaussianAr")
+        return np.array([w2_gaussian(g ** t * x, (1.0 - g ** (2 * t)) * cov,
+                                     mean0, cov)
+                         for t in range(t_max + 1)])
+    raise DomainError("closed-form distances exist for DiscreteAr and "
+                      "GaussianAr")
 
 
 def estimate_containment(kernel, tuning, x, eps, metric, n_max, pi_sampler,
@@ -171,7 +169,9 @@ def estimate_containment(kernel, tuning, x, eps, metric, n_max, pi_sampler,
     if not 0.0 < eps < 1.0:
         raise ParamOutOfRange("eps must lie in (0, 1)")
     if isinstance(metric, str) and metric == "exact":
-        dist = _exact_distance_curve(kernel, tuning, x, n_max)
+        # capped metric: min(W, 1) bounds the capped distance from above
+        dist = np.minimum(
+            _closed_form_distances(kernel, tuning, x, n_max), 1.0)
         err = np.zeros_like(dist)
         meta = {"route": "exact"}
     else:
@@ -501,32 +501,18 @@ def ar_bound_check(kernel, tuning, x, t_max):
     N(g^t x, (1-g^(2t))C), compared in closed form against N(0, C) and
     the envelope g^t (||x|| + sqrt(tr C)).  Every row must pass.
     """
+    distances = _closed_form_distances(kernel, tuning, x, t_max)
+    discrete = isinstance(kernel, DiscreteAr)
+    g = tuning.gamma
+    if not discrete:
+        scale = np.linalg.norm(np.asarray(x, dtype=float)) \
+            + np.sqrt(np.trace(kernel.cov.entries))
     rows = []
-    if isinstance(kernel, DiscreteAr):
-        g = tuning.gamma
-        if g ** t_max > ATOM_CAP:
-            raise SizeCap("gamma^t_max exceeds the exact-atom cap")
-        for t in range(t_max + 1):
-            m = np.arange(g ** t, dtype=float)
-            exact = w1_atoms_vs_uniform01((float(x) + m) / g ** t)
-            bound = g ** (-t)
-            rows.append(BoundRow(t, float(exact), float(bound),
-                                 exact <= bound + 1e-12))
-        return BoundTable("discrete-ar", rows)
-    if isinstance(kernel, GaussianAr):
-        g = tuning.gamma
-        cov = kernel.cov.entries
-        x = np.asarray(x, dtype=float)
-        scale = np.linalg.norm(x) + np.sqrt(np.trace(cov))
-        mean0 = np.zeros(kernel.dim)
-        for t in range(t_max + 1):
-            exact = w2_gaussian(g ** t * x, (1.0 - g ** (2 * t)) * cov,
-                                mean0, cov)
-            bound = g ** t * scale
-            rows.append(BoundRow(t, float(exact), float(bound),
-                                 exact <= bound + 1e-12))
-        return BoundTable("gaussian-ar", rows)
-    raise DomainError("bound tables exist for DiscreteAr and GaussianAr")
+    for t, exact in enumerate(distances):
+        bound = g ** (-t) if discrete else g ** t * scale
+        rows.append(BoundRow(t, float(exact), float(bound),
+                             exact <= bound + 1e-12))
+    return BoundTable("discrete-ar" if discrete else "gaussian-ar", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +595,8 @@ def _check_harris_hypotheses(P, V, rho, c):
             f"drift fails at state {int(drift.argmax())}: PV - lam V = "
             f"{worst:.6g} > K = {c.K:.6g}")
     capped = np.minimum(rho, 1.0)
+    # when rho never exceeds 1 the smallness LP is the contraction LP
+    capped_is_rho = np.array_equal(capped, rho)
     contr_slack = -np.inf
     small_slack = -np.inf
     inside = V <= c.R
@@ -623,7 +611,8 @@ def _check_harris_hypotheses(P, V, rho, c):
                     f"W = {w_rho:.6g} > (1-alpha) rho = "
                     f"{(1.0 - c.alpha) * rho[i, j]:.6g}")
             if inside[i] and inside[j]:
-                w_cap = _w_exact(capped, P[i], P[j])
+                w_cap = (w_rho if capped_is_rho
+                         else _w_exact(capped, P[i], P[j]))
                 gap = w_cap - (1.0 - c.kappa)
                 small_slack = max(small_slack, gap)
                 if gap > 1e-9:

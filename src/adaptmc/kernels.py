@@ -1,8 +1,8 @@
 """Parameterized Markov kernel families and their shared-noise couplings.
 
-Five families, each exposing an independent ``step`` and a ``coupled_step``
-that runs two copies (possibly with different tuning parameters) off the
-same underlying noise:
+Five families, each split into ``draw_noise(stream, tuning)``, which takes
+one step's randomness from the stream, and ``apply(x, tuning, noise)``,
+which checks the state and tuning and makes the update:
 
 * :class:`DiscreteAr`: x -> x/g + k/g on [0, 1), k uniform in {0..g-1}.
 * :class:`GaussianAr`: x -> g x + sqrt(1 - g^2) S z, invariant N(0, S S').
@@ -12,9 +12,12 @@ same underlying noise:
 * :class:`DiffusionTime1`: Euler integration over [0, 1] of the
   overdamped Langevin diffusion with preconditioner M.
 
-The couplings are what make the contraction estimates in the diagnostics
-module deterministic rather than statistical: same noise in, difference
-out.
+``step`` and ``coupled_step`` are written once, on :class:`Kernel`: a step
+applies one draw to one state, and a coupled step applies the same draw to
+two states, possibly under different tunings.  Each coupled output is thus
+marginally a single step, and the couplings make the contraction estimates
+in the diagnostics module deterministic rather than statistical: same noise
+in, difference out.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +31,7 @@ from .errors import (DimensionMismatch, DomainError, Error, StepSizeOutOfRange,
 
 MATRIX_EIG_TOL = 1e-12   # slack when checking the [eig_min, 1] box
 ROW_SUM_TOL = 1e-12      # transition-matrix rows must sum to 1 within this
+STATIONARY_TOL = 1e-12   # max |pi P - pi| accepted for a stationary law
 
 
 # ------------------------------------------------------------- tuning params
@@ -83,7 +87,7 @@ class LangevinTuning:
     """Preconditioner M and step size h for the Langevin kernels.
 
     The step-size upper limit 1/(alpha + beta) depends on the potential, so
-    it is enforced where the potential is known (ula_step); only the lower
+    it is enforced where the potential is known (Ula.apply); only the lower
     limit lives here.
     """
     matrix: PsdMatrix
@@ -165,127 +169,56 @@ def potential_check(potential, dim, stream, pairs=256, radius=5.0, tol=1e-9):
     return out
 
 
-# ------------------------------------------------------------- step functions
-
-def discrete_ar_step(x, gamma, stream):
-    """One step of the base-g discrete AR chain on [0, 1).
-
-    Parameters
-    ----------
-    x : float in [0, 1)
-    gamma : DiscreteBase
-    stream : RngStream
-
-    Returns
-    -------
-    float
-        x/g + k/g with k uniform on {0, ..., g-1}; stays in [0, 1).
-    """
-    if not isinstance(gamma, DiscreteBase):
-        raise VariantMismatch("discrete_ar_step needs a DiscreteBase tuning")
-    x = float(x)
-    if not 0.0 <= x < 1.0:
-        raise DomainError("state %r outside [0, 1)" % x)
-    g = gamma.gamma
-    k = int(stream.integers(0, g))
-    return x / g + k / g
-
-
-def _coupled_discrete_ar(x, gx, y, gy, stream):
-    # one shared uniform; k = floor(u * g) is uniform on {0..g-1} for each g
-    u = float(stream.uniform())
-    kx = min(int(u * gx.gamma), gx.gamma - 1)
-    ky = min(int(u * gy.gamma), gy.gamma - 1)
-    return x / gx.gamma + kx / gx.gamma, y / gy.gamma + ky / gy.gamma
-
-
-def gaussian_ar_step(x, gamma, cov_sqrt, stream):
-    """One step x -> g x + sqrt(1 - g^2) S z with z standard normal.
-
-    Parameters
-    ----------
-    x : (d,) array_like
-    gamma : ArCoef
-    cov_sqrt : PsdMatrix
-        S with S S' the invariant covariance.
-    stream : RngStream
-    """
-    if not isinstance(gamma, ArCoef):
-        raise VariantMismatch("gaussian_ar_step needs an ArCoef tuning")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != cov_sqrt.dim:
-        raise DimensionMismatch("state shape %s incompatible with cov dim %d"
-                                % (x.shape, cov_sqrt.dim))
-    g = gamma.gamma
-    z = stream.normal(x.shape[0])
-    return g * x + np.sqrt(1.0 - g * g) * (cov_sqrt.entries @ z)
-
-
-def ula_step(x, gamma, potential, stream):
-    """Unadjusted Langevin step x - h M grad(M x) + sqrt(2h) z.
-
-    The step size must satisfy step_min <= h <= 1/(alpha + beta); the upper
-    limit is where the one-step contraction estimate degrades, so it is a
-    hard error, not a warning.
-    """
-    if not isinstance(gamma, LangevinTuning):
-        raise VariantMismatch("ula_step needs a LangevinTuning")
-    h_max = 1.0 / (potential.convex_param + potential.lip_param)
-    if not gamma.step_min <= gamma.step <= h_max + 1e-15:
-        raise StepSizeOutOfRange("h=%g outside [%g, %g]"
-                                 % (gamma.step, gamma.step_min, h_max))
-    x = np.asarray(x, dtype=float)
-    m = gamma.matrix.entries
-    if x.shape != (m.shape[0],):
-        raise DimensionMismatch("state shape %s vs matrix dim %d"
-                                % (x.shape, m.shape[0]))
-    z = stream.normal(x.shape[0])
-    return x - gamma.step * (m @ np.asarray(potential.gradient(m @ x))) \
-        + np.sqrt(2.0 * gamma.step) * z
-
-
-def _ula_drift(x, tuning, potential):
-    m = tuning.matrix.entries
-    return x - tuning.step * (m @ np.asarray(potential.gradient(m @ x)))
-
-
-def diffusion_step(x, gamma, kernel, stream):
-    """Euler time-1 map of dX = -M grad(M X) dt + sqrt(2) dW.
-
-    Integrates with ``kernel.substeps`` equal Euler steps; the weak bias
-    against the exact time-1 kernel is O(1/substeps) and is measured, not
-    assumed, in the tests.
-    """
-    if not isinstance(gamma, MatrixScale):
-        raise VariantMismatch("diffusion_step needs a MatrixScale tuning")
-    x = np.asarray(x, dtype=float)
-    m = gamma.matrix.entries
-    if x.shape != (m.shape[0],):
-        raise DimensionMismatch("state shape %s vs matrix dim %d"
-                                % (x.shape, m.shape[0]))
-    n = kernel.substeps
-    dt = 1.0 / n
-    root = np.sqrt(2.0 * dt)
-    grad = kernel.potential.gradient
-    for _ in range(n):
-        z = stream.normal(x.shape[0])
-        x = x - dt * (m @ np.asarray(grad(m @ x))) + root * z
-    return x
-
-
 # ------------------------------------------------------------ kernel families
 
-class DiscreteAr:
-    """Base-g refinement chain on [0, 1) with invariant law Unif[0, 1)."""
+class Kernel:
+    """One update path shared by every family.
+
+    A family defines ``draw_noise(stream, tuning)``, which takes the step's
+    randomness from the stream, and ``apply(x, tuning, noise)``, which checks
+    the state and tuning and maps x to its successor.  ``step`` applies one
+    draw to one state; ``coupled_step`` applies the same draw to two states,
+    so each output is marginally a single step under its own tuning.
+    """
+
+    tuning_variant = None
+
+    def step(self, x, tuning, stream):
+        _require_variant(self, tuning)
+        return self.apply(x, tuning, self.draw_noise(stream, tuning))
+
+    def coupled_step(self, x, tuning_x, y, tuning_y, stream):
+        """Advance two copies off one shared noise draw.
+
+        First output is marginally a P_{tuning_x} step from x, second a
+        P_{tuning_y} step from y.  Both tunings must match the kernel's
+        variant; mixed variants raise VariantMismatch.
+        """
+        _require_variant(self, tuning_x, tuning_y)
+        noise = self.draw_noise(stream, tuning_x)
+        return self.apply(x, tuning_x, noise), self.apply(y, tuning_y, noise)
+
+
+class DiscreteAr(Kernel):
+    """Base-g refinement chain on [0, 1) with invariant law Unif[0, 1).
+
+    One step maps x in [0, 1) to x/g + k/g with k uniform on {0, ..., g-1}.
+    The noise is one uniform u, and k = min(floor(u g), g - 1), so a coupled
+    pair with different bases still shares its draw.
+    """
 
     tuning_variant = DiscreteBase
 
-    def step(self, x, tuning, stream):
-        return discrete_ar_step(x, tuning, stream)
+    def draw_noise(self, stream, tuning):
+        return float(stream.uniform())
 
-    def coupled_step(self, x, tuning_x, y, tuning_y, stream):
-        _require_variant(self, tuning_x, tuning_y)
-        return _coupled_discrete_ar(x, tuning_x, y, tuning_y, stream)
+    def apply(self, x, tuning, noise):
+        x = float(x)
+        if not 0.0 <= x < 1.0:
+            raise DomainError("state %r outside [0, 1)" % x)
+        g = tuning.gamma
+        k = min(int(noise * g), g - 1)
+        return x / g + k / g
 
     def stationary_sample(self, stream, size=None):
         return stream.uniform(size)
@@ -294,8 +227,12 @@ class DiscreteAr:
         return "DiscreteAr()"
 
 
-class GaussianAr:
-    """Vector AR(1) chain with invariant law N(0, cov_sqrt @ cov_sqrt)."""
+class GaussianAr(Kernel):
+    """Vector AR(1) chain with invariant law N(0, cov_sqrt @ cov_sqrt).
+
+    One step maps x to g x + sqrt(1 - g^2) S z with z standard normal and
+    S = cov_sqrt; the noise is S z.
+    """
 
     tuning_variant = ArCoef
 
@@ -309,17 +246,16 @@ class GaussianAr:
     def dim(self):
         return self.cov_sqrt.dim
 
-    def step(self, x, tuning, stream):
-        return gaussian_ar_step(x, tuning, self.cov_sqrt, stream)
+    def draw_noise(self, stream, tuning):
+        return self.cov_sqrt.entries @ stream.normal(self.dim)
 
-    def coupled_step(self, x, tuning_x, y, tuning_y, stream):
-        _require_variant(self, tuning_x, tuning_y)
+    def apply(self, x, tuning, noise):
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = self.cov_sqrt.entries @ stream.normal(self.dim)
-        gx, gy = tuning_x.gamma, tuning_y.gamma
-        return (gx * x + np.sqrt(1.0 - gx * gx) * z,
-                gy * y + np.sqrt(1.0 - gy * gy) * z)
+        if x.ndim != 1 or x.shape[0] != self.dim:
+            raise DimensionMismatch("state shape %s incompatible with cov "
+                                    "dim %d" % (x.shape, self.dim))
+        g = tuning.gamma
+        return g * x + np.sqrt(1.0 - g * g) * noise
 
     def stationary_sample(self, stream, size=None):
         if size is None:
@@ -330,7 +266,7 @@ class GaussianAr:
         return "GaussianAr(dim=%d)" % self.dim
 
 
-class DiscreteRwm:
+class DiscreteRwm(Kernel):
     """Metropolis chain on a finite grid with discrete-Gaussian proposals.
 
     The proposal weight between grid points u, v under preconditioner M is
@@ -417,41 +353,24 @@ class DiscreteRwm:
             return i  # leftover constant-normalizer mass: self-proposal
         return int(np.searchsorted(cdf[i], u, side="right"))
 
-    def step(self, i, tuning, stream):
+    def draw_noise(self, stream, tuning):
+        # two uniforms per step, always, so replay and coupling line up
+        return float(stream.uniform()), float(stream.uniform())
+
+    def apply(self, i, tuning, noise):
         """One Metropolis step from grid index i; returns a grid index."""
-        if not isinstance(tuning, MatrixScale):
-            raise VariantMismatch("discrete_rwm_step needs a MatrixScale")
         i = int(i)
         if not 0 <= i < self.size:
-            raise DomainError("index %d outside grid of size %d" % (i, self.size))
+            raise DomainError("index %d outside grid of size %d"
+                              % (i, self.size))
         fi = self.density[i]
         if fi == 0.0:
             raise ZeroDensity("target density vanishes at state %d" % i)
-        # two uniforms per step, always, so replay and coupling line up
-        u_prop = float(stream.uniform())
-        u_acc = float(stream.uniform())
+        u_prop, u_acc = noise
         j = self._propose(i, tuning, u_prop)
-        if j == i:
-            return i
-        if u_acc <= self.density[j] / fi:
+        if j != i and u_acc <= self.density[j] / fi:
             return j
         return i
-
-    def coupled_step(self, i, tuning_x, j, tuning_y, stream):
-        _require_variant(self, tuning_x, tuning_y)
-        u_prop = float(stream.uniform())
-        u_acc = float(stream.uniform())
-        out = []
-        for idx, tun in ((int(i), tuning_x), (int(j), tuning_y)):
-            fi = self.density[idx]
-            if fi == 0.0:
-                raise ZeroDensity("target density vanishes at state %d" % idx)
-            prop = self._propose(idx, tun, u_prop)
-            if prop != idx and u_acc <= self.density[prop] / fi:
-                out.append(prop)
-            else:
-                out.append(idx)
-        return tuple(out)
 
     def transition_matrix(self, tuning):
         """Exact one-step transition matrix under the given tuning."""
@@ -471,13 +390,18 @@ class DiscreteRwm:
         return p
 
     def stationary_law(self, tuning):
-        """Exact stationary law of transition_matrix (left Perron vector)."""
-        p = self.transition_matrix(tuning)
-        w, v = np.linalg.eig(p.T)
-        k = int(np.argmin(np.abs(w - 1.0)))
-        pi = np.real(v[:, k])
-        pi = np.abs(pi)
-        return pi / pi.sum()
+        """Stationary law f / sum(f) of transition_matrix.
+
+        Exact by detailed balance: the proposal is symmetric and the accept
+        ratio is 1 ^ f(v)/f(u).  Zero-density states get mass 0.  The
+        residual max |pi P - pi| is checked against STATIONARY_TOL.
+        """
+        pi = self.density / self.density.sum()
+        resid = np.abs(pi @ self.transition_matrix(tuning) - pi).max()
+        if resid > STATIONARY_TOL:
+            raise Error("stationary residual %.3g exceeds %g"
+                        % (resid, STATIONARY_TOL))
+        return pi
 
     def dobrushin_coefficient(self, tuning):
         """max over state pairs of TV(P(i,.), P(j,.)) for the finite grid.
@@ -497,39 +421,45 @@ class DiscreteRwm:
         return "DiscreteRwm(size=%d)" % self.size
 
 
-class Ula:
-    """Unadjusted Langevin kernel for a strongly convex potential."""
+class Ula(Kernel):
+    """Unadjusted Langevin kernel for a strongly convex potential.
+
+    One step maps x to x - h M grad(M x) + sqrt(2h) z with z standard
+    normal.  The step size must satisfy step_min <= h <= 1/(alpha + beta);
+    the upper limit is where the one-step contraction estimate degrades, so
+    it is a hard error, not a warning.
+    """
 
     tuning_variant = LangevinTuning
 
     def __init__(self, potential):
         self.potential = potential
 
-    def step(self, x, tuning, stream):
-        return ula_step(x, tuning, self.potential, stream)
+    def draw_noise(self, stream, tuning):
+        return stream.normal(tuning.matrix.dim)
 
-    def coupled_step(self, x, tuning_x, y, tuning_y, stream):
-        _require_variant(self, tuning_x, tuning_y)
+    def apply(self, x, tuning, noise):
+        h_max = 1.0 / (self.potential.convex_param + self.potential.lip_param)
+        if not tuning.step_min <= tuning.step <= h_max + 1e-15:
+            raise StepSizeOutOfRange("h=%g outside [%g, %g]"
+                                     % (tuning.step, tuning.step_min, h_max))
+        m = _matrix_for(x, tuning)
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = stream.normal(x.shape[0])
-        for tun in (tuning_x, tuning_y):
-            h_max = 1.0 / (self.potential.convex_param + self.potential.lip_param)
-            if not tun.step_min <= tun.step <= h_max + 1e-15:
-                raise StepSizeOutOfRange("h=%g outside [%g, %g]"
-                                         % (tun.step, tun.step_min, h_max))
-        xn = _ula_drift(x, tuning_x, self.potential) \
-            + np.sqrt(2.0 * tuning_x.step) * z
-        yn = _ula_drift(y, tuning_y, self.potential) \
-            + np.sqrt(2.0 * tuning_y.step) * z
-        return xn, yn
+        drift = m @ np.asarray(self.potential.gradient(m @ x))
+        return x - tuning.step * drift + np.sqrt(2.0 * tuning.step) * noise
 
     def __repr__(self):
         return "Ula()"
 
 
-class DiffusionTime1:
-    """Euler-Maruyama time-1 map of the preconditioned Langevin diffusion."""
+class DiffusionTime1(Kernel):
+    """Euler-Maruyama time-1 map of the preconditioned Langevin diffusion.
+
+    Integrates dX = -M grad(M X) dt + sqrt(2) dW with ``substeps`` equal
+    Euler steps; the noise is one (substeps, d) block of standard normals.
+    The weak bias against the exact time-1 kernel is O(1/substeps) and is
+    measured, not assumed, in the tests.
+    """
 
     tuning_variant = MatrixScale
 
@@ -539,29 +469,30 @@ class DiffusionTime1:
         self.potential = potential
         self.substeps = int(substeps)
 
-    def step(self, x, tuning, stream):
-        return diffusion_step(x, tuning, self, stream)
+    def draw_noise(self, stream, tuning):
+        return stream.normal((self.substeps, tuning.matrix.dim))
 
-    def coupled_step(self, x, tuning_x, y, tuning_y, stream):
-        _require_variant(self, tuning_x, tuning_y)
+    def apply(self, x, tuning, noise):
+        m = _matrix_for(x, tuning)
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        mx = tuning_x.matrix.entries
-        my = tuning_y.matrix.entries
-        grad = self.potential.gradient
         dt = 1.0 / self.substeps
         root = np.sqrt(2.0 * dt)
-        for _ in range(self.substeps):
-            z = stream.normal(x.shape[0])
-            x = x - dt * (mx @ np.asarray(grad(mx @ x))) + root * z
-            y = y - dt * (my @ np.asarray(grad(my @ y))) + root * z
-        return x, y
+        grad = self.potential.gradient
+        for z in noise:
+            x = x - dt * (m @ np.asarray(grad(m @ x))) + root * z
+        return x
 
     def __repr__(self):
         return "DiffusionTime1(substeps=%d)" % self.substeps
 
 
-KernelFamily = Union[DiscreteAr, GaussianAr, DiscreteRwm, Ula, DiffusionTime1]
+def _matrix_for(x, tuning):
+    # the tuning's preconditioner, after checking that x is a matching vector
+    m = tuning.matrix.entries
+    if np.shape(x) != (m.shape[0],):
+        raise DimensionMismatch("state shape %s vs matrix dim %d"
+                                % (np.shape(x), m.shape[0]))
+    return m
 
 
 def _require_variant(kernel, *tunings):
@@ -574,16 +505,9 @@ def _require_variant(kernel, *tunings):
 
 def step(kernel, x, tuning, stream):
     """Dispatch one independent step on any kernel family."""
-    _require_variant(kernel, tuning)
     return kernel.step(x, tuning, stream)
 
 
 def coupled_step(kernel, x, tuning_x, y, tuning_y, stream):
-    """Advance two copies of the kernel off one shared noise draw.
-
-    First output is marginally a P_{tuning_x} step from x, second a
-    P_{tuning_y} step from y.  Both tunings must match the kernel's
-    variant; mixed variants raise VariantMismatch.
-    """
-    _require_variant(kernel, tuning_x, tuning_y)
+    """Advance two copies of the kernel off one shared noise draw."""
     return kernel.coupled_step(x, tuning_x, y, tuning_y, stream)

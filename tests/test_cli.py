@@ -361,6 +361,22 @@ def test_rwm_simulate_grid_states(tmp_path):
     assert states <= {0.0, 0.25, 0.5, 0.75, 1.0}
 
 
+def test_diffusion_simulate_with_matrix_scale(tmp_path):
+    doc = {"kind": "simulate", "seed": 4,
+           "kernel": {"family": "diffusion",
+                      "hessian": [[1.0, 0.0], [0.0, 2.0]], "substeps": 4},
+           "policy": {"type": "frozen"},
+           "init": {"tuning": {"variant": "matrix-scale",
+                               "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                    "state": [1.0, -1.0]},
+           "horizon": 10}
+    cfg = write_cfg(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 12  # header + states 0..10
+
+
 def test_repeat_run_byte_identical(tmp_path):
     for doc in (simulate_cfg(seed=21),
                 {"kind": "harris", "seed": 1,

@@ -9,9 +9,7 @@ from adaptmc.errors import (DimensionMismatch, DomainError, Error,
 from adaptmc.kernels import (ArCoef, DiffusionTime1, DiscreteAr, DiscreteBase,
                              DiscreteRwm, GaussianAr, LangevinTuning,
                              MatrixScale, PotentialSpec, Ula, coupled_step,
-                             diffusion_step, discrete_ar_step, gaussian_ar_step,
-                             potential_check, quadratic_potential, step,
-                             ula_step)
+                             potential_check, quadratic_potential, step)
 from adaptmc.transport import sliced_w1, w2_gaussian, w_exact_1d
 
 
@@ -78,15 +76,15 @@ def test_potential_check_catches_false_claims():
 
 def test_discrete_ar_formula():
     g = DiscreteBase(2)
-    assert discrete_ar_step(0.0, g, FixedStream(k=0)) == 0.0
-    assert discrete_ar_step(0.5, g, FixedStream(k=1)) == 0.75
+    assert DiscreteAr().step(0.0, g, FixedStream(k=0)) == 0.0
+    assert DiscreteAr().step(0.5, g, FixedStream(u=0.5)) == 0.75
 
 
 def test_discrete_ar_domain():
     with pytest.raises(DomainError):
-        discrete_ar_step(1.0, DiscreteBase(2), FixedStream())
+        DiscreteAr().step(1.0, DiscreteBase(2), FixedStream())
     with pytest.raises(DomainError):
-        discrete_ar_step(-0.1, DiscreteBase(2), FixedStream())
+        DiscreteAr().step(-0.1, DiscreteBase(2), FixedStream())
 
 
 def test_discrete_ar_t_step_support_enumeration():
@@ -128,9 +126,9 @@ def test_discrete_ar_coupled_marginal_matches_single():
     coupled_first = np.array([coupled_step(kern, 0.3, ga, 0.6, gb, sa)[0]
                               for _ in range(n)])
     sb = make_stream(100, 1)
-    single = np.array([discrete_ar_step(0.3, ga, sb) for _ in range(n)])
+    single = np.array([kern.step(0.3, ga, sb) for _ in range(n)])
     sc = make_stream(100, 2)
-    single2 = np.array([discrete_ar_step(0.3, ga, sc) for _ in range(n)])
+    single2 = np.array([kern.step(0.3, ga, sc) for _ in range(n)])
     base = w_exact_1d(EmpiricalMeasure(single), EmpiricalMeasure(single2)).cost
     gap = w_exact_1d(EmpiricalMeasure(coupled_first),
                      EmpiricalMeasure(single)).cost
@@ -141,15 +139,15 @@ def test_discrete_ar_coupled_marginal_matches_single():
 
 def test_gaussian_ar_noiseless_contraction():
     g = ArCoef(0.7)
-    out = gaussian_ar_step(np.array([1.0, -2.0]), g, PsdMatrix.identity(2),
-                           FixedStream())
+    out = GaussianAr(PsdMatrix.identity(2)).step(np.array([1.0, -2.0]), g,
+                                                 FixedStream())
     assert np.allclose(out, [0.7, -1.4])
 
 
 def test_gaussian_ar_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        gaussian_ar_step(np.zeros(3), ArCoef(0.5), PsdMatrix.identity(2),
-                         FixedStream())
+        GaussianAr(PsdMatrix.identity(2)).step(np.zeros(3), ArCoef(0.5),
+                                               FixedStream())
 
 
 def test_gaussian_ar_invariance_one_step():
@@ -226,15 +224,15 @@ def test_gaussian_ar_coupled_marginal_matches_single():
 def test_ula_noiseless_formula():
     pot = quadratic_potential(np.eye(2))
     tun = LangevinTuning(np.eye(2), step=0.5)
-    out = ula_step(np.array([2.0, -4.0]), tun, pot, FixedStream())
+    out = Ula(pot).step(np.array([2.0, -4.0]), tun, FixedStream())
     assert np.allclose(out, [1.0, -2.0])
 
 
 def test_ula_step_size_window():
     pot = quadratic_potential(np.eye(2))       # alpha = beta = 1, h_max = 1/2
     with pytest.raises(StepSizeOutOfRange):
-        ula_step(np.zeros(2), LangevinTuning(np.eye(2), step=0.6), pot,
-                 FixedStream())
+        Ula(pot).step(np.zeros(2), LangevinTuning(np.eye(2), step=0.6),
+                      FixedStream())
 
 
 def test_ula_coupled_contraction_deterministic():
@@ -423,6 +421,22 @@ def test_rwm_exact_stationary_law_is_target():
     assert np.abs(pi - target).max() <= 1e-10
 
 
+def test_rwm_stationary_law_ignores_absorbing_zero_density_state():
+    # the zero-density state is parked in place, so eigenvalue 1 is double;
+    # the law must still be the target, not a point mass on that state
+    kern = DiscreteRwm(grid1d(5), np.array([1.0, 0.0, 1.0, 2.0, 1.0]))
+    pi = kern.stationary_law(MatrixScale(np.eye(1) * 0.5))
+    assert np.array_equal(pi, np.array([1.0, 0.0, 1.0, 2.0, 1.0]) / 5.0)
+
+
+def test_rwm_stationary_law_checks_residual(monkeypatch):
+    kern = DiscreteRwm(grid1d(3), np.array([1.0, 2.0, 1.0]))
+    monkeypatch.setattr(kern, "transition_matrix",
+                        lambda tuning: np.full((3, 3), 1.0 / 3.0))
+    with pytest.raises(Error, match="residual"):
+        kern.stationary_law(MatrixScale(np.eye(1) * 0.5))
+
+
 def test_rwm_detailed_balance():
     f = lambda p: math.exp(-abs(float(p[0])))
     kern = DiscreteRwm(grid1d(12), f)
@@ -515,3 +529,52 @@ def test_coupled_variant_mismatch():
                      DiscreteBase(2), make_stream(0, 0))
     with pytest.raises(VariantMismatch):
         step(DiscreteAr(), 0.5, ArCoef(0.5), make_stream(0, 0))
+
+
+def _family_cases():
+    pot = quadratic_potential(np.diag([1.0, 4.0]))
+    rwm = DiscreteRwm(grid1d(11), lambda p: math.exp(-float(p[0]) ** 2))
+    return [
+        (DiscreteAr(), 0.3, DiscreteBase(3), 0.7, DiscreteBase(5)),
+        (GaussianAr(psd_sqrt(np.array([[1.5, 0.2], [0.2, 0.7]]))),
+         np.array([1.0, -1.0]), ArCoef(0.7),
+         np.array([0.2, 0.3]), ArCoef(0.4)),
+        (rwm, 3, MatrixScale(np.eye(1) * 0.5),
+         8, MatrixScale(np.eye(1) * 0.2)),
+        (Ula(pot), np.array([1.0, 2.0]), LangevinTuning(np.eye(2), step=0.2),
+         np.array([-1.0, 0.5]), LangevinTuning(np.eye(2) * 0.5, step=0.1)),
+        (DiffusionTime1(pot, substeps=4), np.array([1.0, 2.0]),
+         MatrixScale(np.eye(2)), np.array([-1.0, 0.5]),
+         MatrixScale(np.eye(2) * 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("case", _family_cases(),
+                         ids=lambda c: type(c[0]).__name__)
+def test_coupled_outputs_are_single_steps_bit_for_bit(case):
+    # each coupled output is the single step on a stream with the same key
+    kern, x0, tx, y0, ty = case
+    sc, sx, sy = make_stream(71, 5), make_stream(71, 5), make_stream(71, 5)
+    x, y, xs, ys = x0, y0, x0, y0
+    for _ in range(50):
+        x, y = kern.coupled_step(x, tx, y, ty, sc)
+        xs = kern.step(xs, tx, sx)
+        ys = kern.step(ys, ty, sy)
+        assert np.asarray(x).tobytes() == np.asarray(xs).tobytes()
+        assert np.asarray(y).tobytes() == np.asarray(ys).tobytes()
+
+
+@pytest.mark.parametrize("kern,good,bad,tun,err", [
+    (DiscreteRwm(grid1d(4), lambda p: 1.0), 1, -1,
+     MatrixScale(np.eye(1) * 0.5), DomainError),
+    (DiscreteAr(), 0.5, 1.5, DiscreteBase(2), DomainError),
+    (GaussianAr(PsdMatrix.identity(2)), np.zeros(2), 0.5, ArCoef(0.5),
+     DimensionMismatch),
+], ids=["rwm-index", "discrete-ar-domain", "gaussian-ar-scalar"])
+def test_coupled_step_checks_states_like_step(kern, good, bad, tun, err):
+    with pytest.raises(err):
+        kern.step(bad, tun, make_stream(0, 0))
+    with pytest.raises(err):
+        kern.coupled_step(bad, tun, good, tun, make_stream(0, 0))
+    with pytest.raises(err):
+        kern.coupled_step(good, tun, bad, tun, make_stream(0, 0))
