@@ -18,9 +18,8 @@ from .adaptation import (DeterministicStepSchedule, DiminishingContinuous,
 from .process import (AdaptiveTrajectory, EnsembleCrossSection,
                       iterate_adaptive, run_adaptive, run_ensemble,
                       run_finite_adaptation)
-from .transport import (BoundedMetric, EuclideanP, TransportResult,
-                        bounded_distance, discrete_ot_exact, sliced_w1,
-                        w2_gaussian, w_exact_1d)
+from .transport import (TransportResult, bounded_distance,
+                        discrete_ot_exact, sliced_w1, w2_gaussian, w_exact_1d)
 from .diagnostics import (BoundTable, ContainmentEstimate, DriftReport,
                           HarrisConstants, HarrisReport, LLNReport,
                           Observable, ar_bound_check, check_drift,

@@ -33,7 +33,9 @@ class HistorySummary:
 
     The moments are exact functions of the visited states x_0..x_t (plain
     running averages, no decay), which is what the continuous policies
-    consume.
+    consume.  They are taken in state coordinates: where a state is not a
+    point itself (a grid index), ``start`` and ``advance`` take its
+    coordinates as ``point``.
     """
 
     t: int
@@ -44,14 +46,16 @@ class HistorySummary:
     count: int
 
     @classmethod
-    def start(cls, tuning, state):
-        x = np.atleast_1d(np.asarray(state, dtype=float))
+    def start(cls, tuning, state, point=None):
+        x = np.atleast_1d(np.asarray(state if point is None else point,
+                                     dtype=float))
         return cls(t=0, state=state, tuning=tuning, mean=x.copy(),
                    second_moment=np.outer(x, x), count=1)
 
-    def advance(self, tuning, state):
+    def advance(self, tuning, state, point=None):
         """Append one (tuning, state) pair to the summarized prefix."""
-        x = np.atleast_1d(np.asarray(state, dtype=float))
+        x = np.atleast_1d(np.asarray(state if point is None else point,
+                                     dtype=float))
         self.t += 1
         self.count += 1
         self.state = state

@@ -1,9 +1,8 @@
 """Command line front end.
 
 One subcommand per experiment kind plus ``report``.  Configs are JSON
-files; ``--seed`` overrides the config's seed, ``--out`` the output
-directory (also settable through ADAPTMC_OUT), and ``--threads`` only
-parallelizes ensemble work without changing any output byte.
+files; ``--seed`` overrides the config's seed and ``--out`` the output
+directory (also settable through ADAPTMC_OUT).
 
 Exit codes: 0 success, 2 config rejected, 3 runtime failure,
 4 experiment ran but falsified a bound it set out to reproduce.
@@ -37,9 +36,6 @@ def _build_parser():
         p.add_argument("--out", default=None,
                        help="output directory (default: config's 'out', "
                        "ADAPTMC_OUT, or the current directory)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for ensemble experiments; "
-                       "affects speed only, never results")
         p.add_argument("--verbose", action="store_true",
                        help="print the summary after the run")
     rep = sub.add_parser("report", help="render a text report from a "
@@ -85,7 +81,7 @@ def main(argv=None):
         cfg.seed = args.seed
     out_dir = _resolve_out(args, cfg)
     try:
-        manifest, code = run_experiment(cfg, out_dir, threads=args.threads)
+        manifest, code = run_experiment(cfg, out_dir)
     except SchemaError as e:
         print(f"config rejected: {e}", file=sys.stderr)
         return EXIT_SCHEMA

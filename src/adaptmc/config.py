@@ -26,8 +26,7 @@ KINDS = ("simulate", "distance", "containment", "diminishing", "drift",
          "lln", "ar-bounds", "harris", "harris-verify")
 
 TOP_FIELDS = {"kind", "seed", "kernel", "policy", "init", "horizon",
-              "replicas", "checkpoints", "metric", "tolerances", "out",
-              "params"}
+              "replicas", "checkpoints", "metric", "out", "params"}
 
 
 @dataclass
@@ -42,7 +41,6 @@ class ExperimentConfig:
     replicas: Optional[int] = None
     checkpoints: Optional[list] = None
     metric: Optional[dict] = None
-    tolerances: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     out: Optional[str] = None
 
@@ -291,7 +289,7 @@ def parse_config(text):
     if replicas is not None and replicas < 1:
         chk.add("replicas", "must be >= 1")
     for name, typ in (("checkpoints", list), ("metric", dict),
-                      ("tolerances", dict), ("params", dict), ("out", str)):
+                      ("params", dict), ("out", str)):
         _require(doc, "", name, typ, chk, allow_missing=True)
     cfg = ExperimentConfig(kind=kind or "", seed=seed if seed is not None
                            else -1, raw=doc, kernel=doc.get("kernel"),
@@ -299,7 +297,6 @@ def parse_config(text):
                            horizon=horizon, replicas=replicas,
                            checkpoints=doc.get("checkpoints"),
                            metric=doc.get("metric"),
-                           tolerances=doc.get("tolerances", {}),
                            params=doc.get("params", {}), out=doc.get("out"))
     _cross_checks(cfg, chk)
     chk.raise_if_any()

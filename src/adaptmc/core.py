@@ -4,8 +4,7 @@ Everything stochastic in this package draws from an :class:`RngStream`, a
 thin wrapper over numpy's Philox counter-based generator keyed by
 ``(seed, stream_id)``.  Distinct stream ids give statistically independent
 sequences, and a stream's output never depends on what other streams have
-consumed, so replicas can be scheduled in any order (or on any number of
-threads) without changing results.
+consumed, so replicas can run in any order without changing results.
 """
 
 import numpy as np

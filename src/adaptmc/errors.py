@@ -13,8 +13,8 @@ class DimensionMismatch(Error):
     """Array dimensions are incompatible."""
 
 
-class DimensionError(DimensionMismatch):
-    """Supports have the wrong dimensionality for the requested distance."""
+# the name the transport routines raise under; one error, two names
+DimensionError = DimensionMismatch
 
 
 class DomainError(Error):

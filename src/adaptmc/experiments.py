@@ -6,7 +6,6 @@ documenting the columns, a ``summary.json`` with the headline numbers,
 and a ``manifest.json`` with the config hash and per-file checksums.
 All output is deterministic for a fixed config and seed: floats are
 written with repr, JSON keys are sorted, and nothing records the clock.
-Thread counts change wall time only, never bytes.
 """
 
 import csv
@@ -145,7 +144,7 @@ def _measure_from_spec(spec):
 # runners, one per experiment kind
 
 
-def _run_simulate(cfg, out_dir, stream, threads):
+def _run_simulate(cfg, out_dir, stream):
     kernel = build_kernel(cfg.kernel)
     policy = build_policy(cfg.policy)
     init = build_init(cfg.init, kernel)
@@ -154,7 +153,7 @@ def _run_simulate(cfg, out_dir, stream, threads):
     if cfg.replicas is not None and cfg.replicas >= 2:
         checkpoints = cfg.checkpoints or [0, horizon]
         sections = run_ensemble(kernel, policy, init, horizon, cfg.replicas,
-                                checkpoints, stream, threads=threads)
+                                checkpoints, stream)
         rows = []
         dim = sections[0].measure.dim
         for sec in sections:
@@ -190,7 +189,7 @@ def _run_simulate(cfg, out_dir, stream, threads):
     return files, summary, 0
 
 
-def _run_distance(cfg, out_dir, stream, threads):
+def _run_distance(cfg, out_dir, stream):
     p = cfg.params
     left = _measure_from_spec(p["left"])
     right = _measure_from_spec(p["right"])
@@ -233,7 +232,7 @@ def _run_distance(cfg, out_dir, stream, threads):
                    "error": float(err)}, 0
 
 
-def _run_containment(cfg, out_dir, stream, threads):
+def _run_containment(cfg, out_dir, stream):
     kernel = build_kernel(cfg.kernel)
     tuning = build_tuning(cfg.init["tuning"])
     p = cfg.params
@@ -256,7 +255,9 @@ def _run_containment(cfg, out_dir, stream, threads):
                        rows,
                        {"n": "frozen steps from the start point",
                         "distance": "capped distance to the invariant law",
-                        "error": "MC standard error (0 when exact)"})
+                        "error": "0 on the closed-form route; the certified "
+                        "LP duality gap when the clouds are solved exactly; "
+                        "the bootstrap standard error when subsampled"})
     m_hats = {}
     censored = {}
     for e in eps_grid:
@@ -278,7 +279,7 @@ def _run_containment(cfg, out_dir, stream, threads):
     return files, summary, 0
 
 
-def _run_diminishing(cfg, out_dir, stream, threads):
+def _run_diminishing(cfg, out_dir, stream):
     kernel = build_kernel(cfg.kernel)
     policy = build_policy(cfg.policy)
     init = build_init(cfg.init, kernel)
@@ -308,7 +309,7 @@ def _run_diminishing(cfg, out_dir, stream, threads):
     return files, summary, code
 
 
-def _run_drift(cfg, out_dir, stream, threads):
+def _run_drift(cfg, out_dir, stream):
     kernel = build_kernel(cfg.kernel)
     p = cfg.params
     tunings = [build_tuning(s) for s in p["tunings"]]
@@ -341,7 +342,7 @@ def _run_drift(cfg, out_dir, stream, threads):
     return files, summary, code
 
 
-def _run_lln(cfg, out_dir, stream, threads):
+def _run_lln(cfg, out_dir, stream):
     kernel = build_kernel(cfg.kernel)
     policy = build_policy(cfg.policy)
     init = build_init(cfg.init, kernel)
@@ -368,7 +369,7 @@ def _run_lln(cfg, out_dir, stream, threads):
     return files, summary, 0
 
 
-def _run_ar_bounds(cfg, out_dir, stream, threads):
+def _run_ar_bounds(cfg, out_dir, stream):
     kernel = build_kernel(cfg.kernel)
     tuning = build_tuning(cfg.init["tuning"])
     p = cfg.params
@@ -390,21 +391,24 @@ def _run_ar_bounds(cfg, out_dir, stream, threads):
     return files, summary, 0 if table.all_ok else 4
 
 
-def _run_harris(cfg, out_dir, stream, threads):
+# the Harris constants and their inputs, as both Harris runners write them
+_HARRIS_FIELDS = ("lam", "K", "kappa", "alpha", "delta", "beta_star", "R",
+                  "f1", "f2", "f3", "alpha_star")
+
+
+def _run_harris(cfg, out_dir, stream):
     p = cfg.params
     c = harris_constants(float(p["lam"]), float(p["K"]), float(p["kappa"]),
                          float(p["alpha"]), float(p["delta"]))
-    fields = ("lam", "K", "kappa", "alpha", "delta", "beta_star", "R",
-              "f1", "f2", "f3", "alpha_star")
-    files = _write_csv(out_dir, "harris", list(fields),
-                       [[float(getattr(c, f)) for f in fields]],
-                       {f: "" for f in fields})
+    files = _write_csv(out_dir, "harris", list(_HARRIS_FIELDS),
+                       [[float(getattr(c, f)) for f in _HARRIS_FIELDS]],
+                       {f: "" for f in _HARRIS_FIELDS})
     summary = {"kind": cfg.kind}
-    summary.update({f: float(getattr(c, f)) for f in fields})
+    summary.update({f: float(getattr(c, f)) for f in _HARRIS_FIELDS})
     return files, summary, 0
 
 
-def _run_harris_verify(cfg, out_dir, stream, threads):
+def _run_harris_verify(cfg, out_dir, stream):
     p = cfg.params
     c = harris_constants(float(p["lam"]), float(p["K"]), float(p["kappa"]),
                          float(p["alpha"]), float(p["delta"]))
@@ -434,6 +438,7 @@ def _run_harris_verify(cfg, out_dir, stream, threads):
         rows = []
         summary = {"kind": cfg.kind, "violated": True, "reason": str(e)}
         code = 4
+    summary.update({f: float(getattr(c, f)) for f in _HARRIS_FIELDS})
     files = _write_csv(out_dir, "margins",
                        ["chain", "one_step_margin", "t_step_margin"],
                        rows,
@@ -458,7 +463,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg, out_dir, threads=None):
+def run_experiment(cfg, out_dir):
     """Run one experiment and write its artifacts under out_dir.
 
     Returns (manifest, exit_code); exit code 4 flags a falsified bound
@@ -466,7 +471,7 @@ def run_experiment(cfg, out_dir, threads=None):
     """
     os.makedirs(out_dir, exist_ok=True)
     stream = make_stream(cfg.seed, 0)
-    files, summary, code = _RUNNERS[cfg.kind](cfg, out_dir, stream, threads)
+    files, summary, code = _RUNNERS[cfg.kind](cfg, out_dir, stream)
     summary["seed"] = cfg.seed
     files.append(_write_json(out_dir, "summary", summary))
     config_bytes = json.dumps(cfg.raw, sort_keys=True).encode()

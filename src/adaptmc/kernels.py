@@ -32,6 +32,7 @@ from .errors import (DimensionMismatch, DomainError, Error, StepSizeOutOfRange,
 MATRIX_EIG_TOL = 1e-12   # slack when checking the [eig_min, 1] box
 ROW_SUM_TOL = 1e-12      # transition-matrix rows must sum to 1 within this
 STATIONARY_TOL = 1e-12   # max |pi P - pi| accepted for a stationary law
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))  # top of DiscreteAr's domain
 
 
 # ------------------------------------------------------------- tuning params
@@ -204,7 +205,9 @@ class DiscreteAr(Kernel):
 
     One step maps x in [0, 1) to x/g + k/g with k uniform on {0, ..., g-1}.
     The noise is one uniform u, and k = min(floor(u g), g - 1), so a coupled
-    pair with different bases still shares its draw.
+    pair with different bases still shares its draw.  Near x = 1 the sum
+    can round up to 1.0; it is clamped to the largest float below 1 so the
+    chain stays in its domain.
     """
 
     tuning_variant = DiscreteBase
@@ -218,7 +221,7 @@ class DiscreteAr(Kernel):
             raise DomainError("state %r outside [0, 1)" % x)
         g = tuning.gamma
         k = min(int(noise * g), g - 1)
-        return x / g + k / g
+        return min(x / g + k / g, _BELOW_ONE)
 
     def stationary_sample(self, stream, size=None):
         return stream.uniform(size)

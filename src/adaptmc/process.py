@@ -10,7 +10,6 @@ processes agree bit-for-bit on the shared prefix.
 """
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional
 
 import numpy as np
@@ -110,9 +109,12 @@ def iterate_adaptive(kernel, policy, init, horizon, stream, t_stop=None,
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    # a grid chain's states are indices; its moments need the grid points
+    embed = isinstance(kernel, DiscreteRwm)
     if hist is None:
         tuning, state = _resolve_init(init, stream)
-        hist = HistorySummary.start(tuning, state)
+        hist = HistorySummary.start(
+            tuning, state, state_point(kernel, state) if embed else None)
         yield hist.t, tuning, state
     end = hist.t + horizon
     while hist.t < end:
@@ -121,7 +123,8 @@ def iterate_adaptive(kernel, policy, init, horizon, stream, t_stop=None,
         else:
             tuning = adapt(policy, hist, stream)
         state = kernel.step(hist.state, tuning, stream)
-        hist.advance(tuning, state)
+        hist.advance(tuning, state,
+                     state_point(kernel, state) if embed else None)
         yield hist.t, tuning, state
 
 
@@ -157,14 +160,13 @@ def run_finite_adaptation(kernel, policy, init, t_stop, extra_steps, stream):
 
 
 def run_ensemble(kernel, policy, init, horizon, replicas, checkpoints,
-                 base_stream, threads=None):
+                 base_stream):
     """Independent replicas; cross-section measures at each checkpoint.
 
     Replica r draws from the stream keyed (base_stream.seed, r), so its
-    path depends on nothing but that key: worker count and scheduling
-    cannot change any result.  The function owns stream ids [0, replicas)
-    for its seed; callers needing unrelated streams should use other ids
-    or another seed.
+    path depends on nothing but that key.  The function owns stream ids
+    [0, replicas) for its seed; callers needing unrelated streams should
+    use other ids or another seed.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
@@ -172,24 +174,14 @@ def run_ensemble(kernel, policy, init, horizon, replicas, checkpoints,
     if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] > horizon):
         raise ValueError("checkpoints must lie in [0, horizon]")
     marks = set(checkpoints)
-    slots = [None] * replicas
-
-    def one(r):
-        stream = make_stream(base_stream.seed, r)
+    slots = []
+    for r in range(replicas):
         keep = {}
         for t, _, state in iterate_adaptive(kernel, policy, init, horizon,
-                                            stream):
+                                            make_stream(base_stream.seed, r)):
             if t in marks:
                 keep[t] = state_point(kernel, state)
-        return r, keep
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for r, keep in pool.map(one, range(replicas)):
-                slots[r] = keep
-    else:
-        for r in range(replicas):
-            slots[r] = one(r)[1]
+        slots.append(keep)
 
     out = []
     for t in checkpoints:

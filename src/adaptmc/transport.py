@@ -17,7 +17,7 @@ the caller's to account for.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -34,25 +34,6 @@ PLAN_TOL = 1e-8           # marginal / cost-consistency tolerance on plans;
 CERT_TOL = 1e-9           # dual-feasibility certificate tolerance
 
 
-@dataclass(frozen=True)
-class EuclideanP:
-    """Euclidean cost |x - y|^p."""
-    p: int = 1
-
-
-@dataclass(frozen=True)
-class BoundedMetric:
-    """Capped metric min(base(x, y), cap)."""
-    base: Callable
-    cap: float = 1.0
-
-
-@dataclass(frozen=True)
-class Custom:
-    """Explicit nonnegative cost matrix."""
-    matrix: np.ndarray
-
-
 def euclidean_metric(x, y):
     """Pairwise Euclidean distances between rows of x and rows of y."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -61,23 +42,12 @@ def euclidean_metric(x, y):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def cost_matrix(spec, x, y):
-    """Evaluate a CostSpec variant on point arrays x (n,d) and y (m,d)."""
-    if isinstance(spec, EuclideanP):
-        return euclidean_metric(x, y) ** spec.p
-    if isinstance(spec, BoundedMetric):
-        base = spec.base(x, y)
-        base = np.asarray(base, dtype=float)
-        if np.any(base < 0):
-            raise Error("base metric returned negative values")
-        capped = np.minimum(base, spec.cap)
-        return capped
-    if isinstance(spec, Custom):
-        m = np.asarray(spec.matrix, dtype=float)
-        if np.any(m < 0):
-            raise Error("custom cost matrix must be nonnegative")
-        return m
-    raise TypeError("unknown cost spec %r" % (spec,))
+def _capped_cost(base_metric, x, y):
+    """Cost matrix min(base_metric(x, y), 1); the base must be nonnegative."""
+    base = np.asarray(base_metric(x, y), dtype=float)
+    if np.any(base < 0):
+        raise Error("base metric returned negative values")
+    return np.minimum(base, 1.0)
 
 
 @dataclass
@@ -171,7 +141,7 @@ def discrete_ot_exact(cost, w_mu, w_nu):
     simplex), then certifies optimality: the returned duals must be
     feasible (u_i + v_j <= c_ij + CERT_TOL, in units of the rescaled cost)
     and the duality gap below CERT_TOL.  Costs are pre-scaled so the
-    largest entry is 1, which keeps those tolerances meaningful.
+    largest entry is 1, which keeps CERT_TOL meaningful.
 
     Parameters
     ----------
@@ -348,11 +318,11 @@ def bounded_distance(mu, nu, base_metric=None, subsample=256, stream=None,
         raise ValueError("subsample must be positive")
     if subsample * subsample > SIZE_CAP:
         raise SizeCap("subsample^2 exceeds the exact-solver cap")
-    spec = BoundedMetric(base=base_metric or euclidean_metric, cap=1.0)
+    base_metric = base_metric or euclidean_metric
 
     need_sub = mu.support_size > subsample or nu.support_size > subsample
     if not need_sub:
-        c = cost_matrix(spec, mu.points, nu.points)
+        c = _capped_cost(base_metric, mu.points, nu.points)
         res = discrete_ot_exact(c, mu.weights, nu.weights)
         res.meta["subsampled"] = False
         return res
@@ -371,7 +341,7 @@ def bounded_distance(mu, nu, base_metric=None, subsample=256, stream=None,
             py, wy = nu.points[iy], np.full(subsample, 1.0 / subsample)
         else:
             py, wy = nu.points, nu.weights
-        return discrete_ot_exact(cost_matrix(spec, px, py), wx, wy)
+        return discrete_ot_exact(_capped_cost(base_metric, px, py), wx, wy)
 
     point = solve(0.5, 0.5)
     boot = np.empty(resamples)

@@ -7,6 +7,7 @@ import pytest
 
 from adaptmc.cli import main
 from adaptmc.config import parse_config
+from adaptmc.diagnostics import harris_constants
 from adaptmc.errors import SchemaError, UnknownField
 
 
@@ -76,6 +77,13 @@ def test_unknown_field_rejected():
     doc = simulate_cfg()
     doc["extra_knob"] = 1
     with pytest.raises(UnknownField, match="extra_knob"):
+        parse_config(json.dumps(doc))
+
+
+def test_tolerances_field_rejected():
+    doc = simulate_cfg()
+    doc["tolerances"] = {"mse": 0.1}
+    with pytest.raises(UnknownField, match="tolerances"):
         parse_config(json.dumps(doc))
 
 
@@ -159,7 +167,7 @@ def test_ar_bounds_csv_and_report(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_gaussian_ensemble_threads_do_not_change_bytes(tmp_path):
+def test_gaussian_ensemble_reruns_byte_identical(tmp_path):
     doc = {
         "kind": "simulate", "seed": 11,
         "kernel": {"family": "gaussian-ar",
@@ -171,13 +179,18 @@ def test_gaussian_ensemble_threads_do_not_change_bytes(tmp_path):
         "horizon": 12, "replicas": 6, "checkpoints": [0, 6, 12],
     }
     cfg = write_cfg(tmp_path, doc)
-    out1, out2, out3 = (str(tmp_path / n) for n in ("a", "b", "c"))
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["simulate", "--config", cfg, "--out", out1]) == 0
-    assert main(["simulate", "--config", cfg, "--out", out2,
-                 "--threads", "1"]) == 0
-    assert main(["simulate", "--config", cfg, "--out", out3,
-                 "--threads", "4"]) == 0
-    assert read_all(out1) == read_all(out2) == read_all(out3)
+    assert main(["simulate", "--config", cfg, "--out", out2]) == 0
+    assert read_all(out1) == read_all(out2)
+
+
+def test_threads_option_rejected(tmp_path):
+    cfg = write_cfg(tmp_path, simulate_cfg())
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--out", str(tmp_path / "a"),
+              "--threads", "4"])
+    assert exc.value.code == 2
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -221,6 +234,12 @@ def test_harris_verify_pass_and_fail(tmp_path, capsys):
     assert s["violated"] is False
     # margin convention: worst of (achieved - allowed), so <= 0 passes
     assert s["one_step_margin"] <= 1e-9
+    p = base["params"]
+    c = harris_constants(p["lam"], p["K"], p["kappa"], p["alpha"],
+                         p["delta"])
+    fields = ("lam", "K", "kappa", "alpha", "delta", "beta_star", "R",
+              "f1", "f2", "f3", "alpha_star")
+    assert {f: s[f] for f in fields} == {f: getattr(c, f) for f in fields}
     bad = json.loads(json.dumps(base))
     bad["params"]["V"] = [0.0, 10.0]  # drift hypothesis now fails
     cfg2 = write_cfg(tmp_path, bad, name="bad.json")
@@ -228,7 +247,8 @@ def test_harris_verify_pass_and_fail(tmp_path, capsys):
     assert main(["harris-verify", "--config", cfg2, "--out", out2]) == 4
     s2 = json.loads((tmp_path / "bad" / "summary.json").read_text())
     assert s2["violated"] is True
-    assert "drift" in s2["reason"]
+    assert "drift fails at state 0" in s2["reason"]
+    assert {f: s2[f] for f in fields} == {f: getattr(c, f) for f in fields}
 
 
 def test_containment_censoring_reported(tmp_path, capsys):
@@ -249,6 +269,21 @@ def test_containment_censoring_reported(tmp_path, capsys):
     rep = capsys.readouterr().out
     assert "censored" in rep
     assert "claim nothing" in rep
+
+
+def test_containment_error_column_described(tmp_path):
+    doc = {"kind": "containment", "seed": 2,
+           "kernel": {"family": "gaussian-ar", "cov_sqrt": [[1.0]]},
+           "init": {"tuning": {"variant": "ar-coef", "gamma": 0.5}},
+           "metric": {"type": "exact"},
+           "params": {"x": [2.0], "eps": [0.5], "n_max": 3}}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["containment", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "containment.meta.json").read_text())
+    desc = {c["name"]: c["description"] for c in meta["columns"]}["error"]
+    for route in ("closed-form", "duality gap", "bootstrap"):
+        assert route in desc
 
 
 def test_distance_exact_1d(tmp_path):

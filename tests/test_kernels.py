@@ -87,6 +87,17 @@ def test_discrete_ar_domain():
         DiscreteAr().step(-0.1, DiscreteBase(2), FixedStream())
 
 
+@pytest.mark.parametrize("g", range(2, 12))
+def test_discrete_ar_stays_below_one(g):
+    # from the largest float below 1 with the top digit, x/g + (g-1)/g
+    # rounds to 1.0; the step must stay in [0, 1) and the next one run
+    kern, tun = DiscreteAr(), DiscreteBase(g)
+    top = float(np.nextafter(1.0, 0.0))
+    y = kern.apply(top, tun, 0.999999)
+    assert y == top
+    assert 0.0 <= kern.apply(y, tun, 0.5) < 1.0
+
+
 def test_discrete_ar_t_step_support_enumeration():
     # from x=0 the t-step support is exactly {j/2^t}, every atom equally
     # reachable: iterate the map over all (state, k) pairs

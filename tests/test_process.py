@@ -3,9 +3,10 @@ import pytest
 
 from adaptmc.adaptation import (DiminishingContinuous, DiminishingDiscrete,
                                 FiniteAdaptation, RestrictedSet,
-                                toward_gamma)
+                                matrix_moment_matching, toward_gamma)
 from adaptmc.core import make_stream
-from adaptmc.kernels import ArCoef, DiscreteAr, DiscreteBase, GaussianAr
+from adaptmc.kernels import (ArCoef, DiscreteAr, DiscreteBase, DiscreteRwm,
+                             GaussianAr, MatrixScale)
 from adaptmc.process import (AdaptiveTrajectory, iterate_adaptive,
                              run_adaptive, run_ensemble,
                              run_finite_adaptation)
@@ -193,16 +194,16 @@ def test_ensemble_replica_depends_only_on_seed_and_index():
     assert secs[0].measure.points[3, 0] == solo.states[30]
 
 
-def test_ensemble_thread_count_does_not_change_results():
-    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-    kern = GaussianAr(cov)
-    pol = DiminishingContinuous(harmonic, toward_gamma(0.9))
-    init = (ArCoef(0.5), np.ones(2))
-    a = run_ensemble(kern, pol, init, 25, 12, [5, 25], make_stream(8, 0))
-    b = run_ensemble(kern, pol, init, 25, 12, [5, 25], make_stream(8, 0),
-                     threads=4)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.measure.points, sb.measure.points)
+def test_rwm_moment_matching_reads_grid_coordinates():
+    # the grid over [0, 2] has coordinate variance near 0.25 under pi, so
+    # the clipped precision is 1; in index units (variance near 100) it
+    # would sit at eig_min
+    grid = np.linspace(0.0, 2.0, 41)
+    kern = DiscreteRwm(grid, lambda x: float(np.exp(-0.5 * np.dot(x, x))))
+    pol = DiminishingContinuous(harmonic, matrix_moment_matching(0.05))
+    init = (MatrixScale(np.eye(1), eig_min=0.05), 10)
+    traj = run_adaptive(kern, pol, init, 500, make_stream(1, 0))
+    assert traj.tunings[-1].matrix.entries[0, 0] == 1.0
 
 
 def test_ensemble_gaussian_cross_section_mean():
