@@ -35,11 +35,13 @@ class HistorySummary:
     running averages, no decay), which is what the continuous policies
     consume.  They are taken in state coordinates: where a state is not a
     point itself (a grid index), ``start`` and ``advance`` take its
-    coordinates as ``point``.
+    coordinates as ``point``.  ``point`` holds the current state's
+    coordinates, which is what :class:`RestrictedSet` tests.
     """
 
     t: int
     state: object
+    point: object
     tuning: TuningParam
     mean: np.ndarray
     second_moment: np.ndarray
@@ -47,18 +49,19 @@ class HistorySummary:
 
     @classmethod
     def start(cls, tuning, state, point=None):
-        x = np.atleast_1d(np.asarray(state if point is None else point,
-                                     dtype=float))
-        return cls(t=0, state=state, tuning=tuning, mean=x.copy(),
-                   second_moment=np.outer(x, x), count=1)
+        point = state if point is None else point
+        x = np.atleast_1d(np.asarray(point, dtype=float))
+        return cls(t=0, state=state, point=point, tuning=tuning,
+                   mean=x.copy(), second_moment=np.outer(x, x), count=1)
 
     def advance(self, tuning, state, point=None):
         """Append one (tuning, state) pair to the summarized prefix."""
-        x = np.atleast_1d(np.asarray(state if point is None else point,
-                                     dtype=float))
+        point = state if point is None else point
+        x = np.atleast_1d(np.asarray(point, dtype=float))
         self.t += 1
         self.count += 1
         self.state = state
+        self.point = point
         self.tuning = tuning
         self.mean = self.mean + (x - self.mean) / self.count
         self.second_moment = self.second_moment \
@@ -254,8 +257,10 @@ class DeterministicStepSchedule:
 class RestrictedSet:
     """Freeze the inner policy whenever the current state leaves S.
 
-    S is `norm(state) <= radius`, or an explicit predicate.  Frozen calls
-    return the current tuning and consume no randomness.
+    S is `norm(x) <= radius`, or an explicit predicate of x, where x is
+    the current state's coordinates (``hist.point``: the grid point, not
+    the index, on a grid chain).  Frozen calls return the current tuning
+    and consume no randomness.
     """
 
     def __init__(self, inner, radius=None, predicate=None):
@@ -265,14 +270,14 @@ class RestrictedSet:
         self.radius = radius
         self.predicate = predicate
 
-    def allows(self, state):
+    def allows(self, point):
         if self.predicate is not None:
-            return bool(self.predicate(state))
-        x = np.atleast_1d(np.asarray(state, dtype=float))
+            return bool(self.predicate(point))
+        x = np.atleast_1d(np.asarray(point, dtype=float))
         return float(np.linalg.norm(x)) <= self.radius
 
     def propose(self, hist, stream):
-        if not self.allows(hist.state):
+        if not self.allows(hist.point):
             return hist.tuning
         return self.inner.propose(hist, stream)
 

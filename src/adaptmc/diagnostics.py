@@ -14,7 +14,8 @@ import numpy as np
 from .core import EmpiricalMeasure
 from .errors import (ContractionViolated, DomainError, HypothesisFailed,
                      ParamOutOfRange, SizeCap)
-from .kernels import DiffusionTime1, DiscreteAr, DiscreteRwm, GaussianAr, Ula
+from .kernels import (STATIONARY_TOL, DiffusionTime1, DiscreteAr, DiscreteRwm,
+                      GaussianAr, Ula)
 from .process import iterate_adaptive, state_point
 from .transport import (bounded_distance, discrete_ot_exact,
                         w1_atoms_vs_uniform01, w2_gaussian)
@@ -165,9 +166,12 @@ def estimate_containment(kernel, tuning, x, eps, metric, n_max, pi_sampler,
     cloud from ``pi_sampler`` under the capped metric.  Estimates are
     upper-bound flavored, so a censored result means "not settled within
     n_max at this resolution", never a claim about the true value.
+    ``meta["ot_routes"]`` counts the exact-OT route ("assignment" or "lp")
+    of each capped-distance solve; the closed-form route makes none.
     """
     if not 0.0 < eps < 1.0:
         raise ParamOutOfRange("eps must lie in (0, 1)")
+    ot_routes = {"assignment": 0, "lp": 0}
     if isinstance(metric, str) and metric == "exact":
         # capped metric: min(W, 1) bounds the capped distance from above
         dist = np.minimum(
@@ -196,8 +200,10 @@ def estimate_containment(kernel, tuning, x, eps, metric, n_max, pi_sampler,
             res = bounded_distance(cloud, ref, base_metric=base,
                                    stream=stream.substream(2 + n))
             dist[n], err[n] = res.cost, res.error
+            ot_routes[res.meta["route"]] += 1
         meta = {"route": "empirical", "replicas": replicas,
                 "reference": meta_pi}
+    meta["ot_routes"] = ot_routes
     dist = dist.reshape(1, -1)
     m, cens = _first_settled(dist, eps)
     grid, probs = _tail_curve(m, n_max)
@@ -625,11 +631,31 @@ def _check_harris_hypotheses(P, V, rho, c):
 
 
 def _stationary_of(P):
-    w, v = np.linalg.eig(P.T)
-    k = np.argmin(np.abs(w - 1.0))
-    pi = np.real(v[:, k])
-    pi = np.abs(pi)
-    return pi / pi.sum()
+    """Stationary law of a row-stochastic P: (P^T - I) pi = 0, sum(pi) = 1.
+
+    Solved by least squares on the stacked system.  The stacked matrix has
+    rank n exactly when P^T - I has rank n - 1, so a smaller rank means
+    more than one closed class and no unique law.  The solution must be
+    nonnegative and leave max |pi P - pi| within STATIONARY_TOL.
+    """
+    n = P.shape[0]
+    lhs = np.vstack([P.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    if rank < n:
+        raise HypothesisFailed("P^T - I has rank %d < n - 1 = %d: more than "
+                               "one closed class" % (rank - 1, n - 1))
+    if pi.min() < -STATIONARY_TOL:
+        raise HypothesisFailed("stationary law has a negative entry %.3g"
+                               % pi.min())
+    pi = np.maximum(pi, 0.0)
+    pi = pi / pi.sum()
+    resid = float(np.abs(pi @ P - pi).max())
+    if resid > STATIONARY_TOL:
+        raise HypothesisFailed("stationary residual %.3g exceeds %.3g"
+                               % (resid, STATIONARY_TOL))
+    return pi
 
 
 def verify_harris_contraction(chains, V, rho, constants, t_max=20):

@@ -27,8 +27,8 @@ from .errors import (ContractionViolated, Error, HypothesisFailed,
                      MissingArtifact, SchemaError)
 from .kernels import ArCoef, DiscreteBase, LangevinTuning, MatrixScale
 from .process import run_adaptive, run_ensemble, state_point
-from .transport import (bounded_distance, discrete_ot_exact, sliced_w1,
-                        w2_gaussian, w_exact_1d)
+from .transport import (bounded_distance, discrete_ot_exact,
+                        euclidean_metric, sliced_w1, w2_gaussian, w_exact_1d)
 
 
 class BoundFalsified(Error):
@@ -209,9 +209,8 @@ def _run_distance(cfg, out_dir, stream):
             res = w_exact_1d(mu, nu, p=p.get("p", 1))
             cost, err = res.cost, res.error
         elif method == "exact":
-            diff = mu.points[:, None, :] - nu.points[None, :, :]
-            cmat = np.sqrt((diff ** 2).sum(axis=2))
-            res = discrete_ot_exact(cmat, mu.weights, nu.weights)
+            res = discrete_ot_exact(euclidean_metric(mu.points, nu.points),
+                                    mu.weights, nu.weights)
             cost, err = res.cost, res.error
         elif method == "sliced":
             res = sliced_w1(mu, nu, p.get("projections", 64),
@@ -256,7 +255,7 @@ def _run_containment(cfg, out_dir, stream):
                        {"n": "frozen steps from the start point",
                         "distance": "capped distance to the invariant law",
                         "error": "0 on the closed-form route; the certified "
-                        "LP duality gap when the clouds are solved exactly; "
+                        "duality gap when the clouds are solved exactly; "
                         "the bootstrap standard error when subsampled"})
     m_hats = {}
     censored = {}
@@ -275,7 +274,7 @@ def _run_containment(cfg, out_dir, stream):
                      % meta.get("burn_in", 0))
     summary = {"kind": cfg.kind, "n_max": n_max, "m_hat": m_hats,
                "censored": censored, "reference": meta.get("method"),
-               "notes": notes}
+               "ot_routes": est.meta["ot_routes"], "notes": notes}
     return files, summary, 0
 
 

@@ -20,23 +20,29 @@ from .errors import Error
 from .kernels import DiscreteRwm
 
 
-def state_point(kernel, state):
-    """Embed a kernel state into R^d for measure-level comparisons."""
+def _coordinates(kernel, state):
+    # what HistorySummary.point and RestrictedSet read of a state: a grid
+    # chain's grid point, otherwise the state itself
     if isinstance(kernel, DiscreteRwm):
         return kernel.grid[int(state)]
-    return np.atleast_1d(np.asarray(state, dtype=float))
+    return state
 
 
-def _freeze_required(policy, t, state):
+def state_point(kernel, state):
+    """Embed a kernel state into R^d for measure-level comparisons."""
+    return np.atleast_1d(np.asarray(_coordinates(kernel, state), dtype=float))
+
+
+def _freeze_required(policy, t, point):
     # does the policy's own rule force G_{t+1} = G_t at this point?
     if isinstance(policy, FiniteAdaptation):
         if policy.base is None or t >= policy.t_stop:
             return True
-        return _freeze_required(policy.base, t, state)
+        return _freeze_required(policy.base, t, point)
     if isinstance(policy, RestrictedSet):
-        if not policy.allows(state):
+        if not policy.allows(point):
             return True
-        return _freeze_required(policy.inner, t, state)
+        return _freeze_required(policy.inner, t, point)
     return False
 
 
@@ -47,7 +53,9 @@ class AdaptiveTrajectory:
     ``tunings[t]`` is the parameter the state moved under at step t
     (index 0 is the initialization), so len(tunings) == len(states) ==
     horizon + 1.  ``t_stop`` is set when the tail was run with the tuning
-    frozen (finite-adaptation comparison process).
+    frozen (finite-adaptation comparison process).  ``kernel`` is the
+    kernel the states belong to; freeze checks read a grid chain's states
+    as grid points through it.
     """
 
     seed: int
@@ -55,6 +63,7 @@ class AdaptiveTrajectory:
     tunings: list
     states: list
     t_stop: Optional[int] = None
+    kernel: object = None
 
     def __len__(self):
         return len(self.states)
@@ -70,7 +79,8 @@ class AdaptiveTrajectory:
     def verify_freeze(self, policy):
         """Check every forced-freeze point kept its tuning unchanged."""
         for t in range(self.horizon):
-            forced = _freeze_required(policy, t, self.states[t])
+            forced = _freeze_required(
+                policy, t, _coordinates(self.kernel, self.states[t]))
             if self.t_stop is not None and t >= self.t_stop:
                 forced = True
             if forced:
@@ -109,12 +119,10 @@ def iterate_adaptive(kernel, policy, init, horizon, stream, t_stop=None,
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    # a grid chain's states are indices; its moments need the grid points
-    embed = isinstance(kernel, DiscreteRwm)
     if hist is None:
         tuning, state = _resolve_init(init, stream)
-        hist = HistorySummary.start(
-            tuning, state, state_point(kernel, state) if embed else None)
+        hist = HistorySummary.start(tuning, state,
+                                    _coordinates(kernel, state))
         yield hist.t, tuning, state
     end = hist.t + horizon
     while hist.t < end:
@@ -123,8 +131,7 @@ def iterate_adaptive(kernel, policy, init, horizon, stream, t_stop=None,
         else:
             tuning = adapt(policy, hist, stream)
         state = kernel.step(hist.state, tuning, stream)
-        hist.advance(tuning, state,
-                     state_point(kernel, state) if embed else None)
+        hist.advance(tuning, state, _coordinates(kernel, state))
         yield hist.t, tuning, state
 
 
@@ -140,7 +147,8 @@ def run_adaptive(kernel, policy, init, horizon, stream, _t_stop=None):
         tunings.append(tuning)
         states.append(state)
     traj = AdaptiveTrajectory(seed=stream.seed, stream_id=stream.stream_id,
-                              tunings=tunings, states=states, t_stop=_t_stop)
+                              tunings=tunings, states=states, t_stop=_t_stop,
+                              kernel=kernel)
     if not traj.verify_freeze(policy):
         raise Error("emitted trajectory violates policy freeze rules")
     return traj

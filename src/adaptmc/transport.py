@@ -3,10 +3,14 @@
 Four evaluation routes with different exactness/scale tradeoffs:
 
 * :func:`w_exact_1d`: exact quantile coupling, 1-D, convex costs only.
-* :func:`discrete_ot_exact`: exact LP transport for arbitrary cost
-  matrices, certified by dual feasibility.  The capped metric ``rho /\\ 1``
-  is not convex in the 1-D sense, so quantile coupling is suboptimal for it
-  and everything capped funnels through this solver.
+* :func:`discrete_ot_exact`: exact transport for arbitrary cost matrices,
+  certified by dual feasibility and the duality gap.  Square problems with
+  constant weights (uniform clouds of equal size) are solved as an
+  assignment, with duals from Bellman-Ford over the reduced costs; all
+  others, and any assignment whose certificate fails, by a HiGHS LP.  The
+  capped metric ``rho /\\ 1`` is not convex in the 1-D sense, so quantile
+  coupling is suboptimal for it and everything capped funnels through
+  this solver.
 * :func:`w2_gaussian`: closed form for Gaussian laws.
 * :func:`sliced_w1`: projection-averaged lower-bound surrogate at scale.
 
@@ -21,12 +25,12 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .core import EmpiricalMeasure, PsdMatrix, psd_sqrt
 from .errors import DimensionError, Error, Infeasible, SizeCap
 
-SIZE_CAP = 2 ** 20        # max cost entries handled by the exact LP route
+SIZE_CAP = 2 ** 20        # max cost entries handled by the exact routes
 PLAN_TOL = 1e-8           # marginal / cost-consistency tolerance on plans;
                           # the LP solver's own feasibility tolerance leaves
                           # per-entry residuals near 1e-10, which row sums
@@ -57,8 +61,8 @@ class TransportResult:
     ``cost`` is the distance reported by the method (for w_exact_1d with
     p=2 this is the W2 distance; the plan's linear cost is cost**p and is
     kept in ``meta['power_cost']``).  ``error`` is 0 for exact values, a
-    certified duality gap for LP solutions, and an MC standard error for
-    sampled estimates.
+    certified duality gap for exact-ot solutions, and an MC standard error
+    for sampled estimates.
     """
 
     cost: float
@@ -134,14 +138,62 @@ def w_exact_1d(mu, nu, p=1):
                            error=0.0, meta={"p": p, "power_cost": power_cost})
 
 
+def _lp_route(cs, a, b):
+    # HiGHS dual simplex on the full transportation LP; any weights
+    n, m = cs.shape
+    a_eq = sparse.vstack([
+        sparse.kron(sparse.eye(n), np.ones((1, m))),
+        sparse.kron(np.ones((1, n)), sparse.eye(m)),
+    ]).tocsc()
+    res = linprog(cs.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise Infeasible("LP solver failed: %s" % res.message)
+    plan = sparse.coo_array(np.maximum(res.x.reshape(n, m), 0.0))
+    plan.eliminate_zeros()
+    return res.fun, res.eqlin.marginals[:n], res.eqlin.marginals[n:], plan
+
+
+def _assignment_route(cs, a, b):
+    # Uniform n x n weights: by Birkhoff's theorem an optimal permutation is
+    # an optimal plan.  Duals: v is the shortest-path distance, from a
+    # virtual source, over arcs sigma(i) -> j of reduced cost
+    # cs[i, j] - cs[i, sigma(i)]; then u_i + v_j <= cs[i, j] with equality
+    # on the permutation.  Bellman-Ford stops after n passes whether or not
+    # it settled; the caller's certificate decides.
+    n = cs.shape[0]
+    rows, sigma = linear_sum_assignment(cs)
+    diag = cs[rows, sigma]
+    owner = np.empty(n, dtype=int)
+    owner[sigma] = rows
+    arcs = cs[owner] - diag[owner, None]     # arcs[k, j]: arc k -> j
+    v = np.zeros(n)
+    for _ in range(n):
+        nv = (v[:, None] + arcs).min(axis=0)   # arcs[k, k] = 0 keeps v[k]
+        if np.array_equal(nv, v):
+            break
+        v = nv
+    plan = sparse.coo_array((a, (rows, sigma)), shape=(n, n))
+    return diag @ a, diag - v[sigma], v, plan
+
+
 def discrete_ot_exact(cost, w_mu, w_nu):
     """Exact optimal transport for an explicit cost matrix.
 
-    Solves min <plan, cost> over couplings of (w_mu, w_nu) by LP (dual
-    simplex), then certifies optimality: the returned duals must be
-    feasible (u_i + v_j <= c_ij + CERT_TOL, in units of the rescaled cost)
-    and the duality gap below CERT_TOL.  Costs are pre-scaled so the
-    largest entry is 1, which keeps CERT_TOL meaningful.
+    Solves min <plan, cost> over couplings of (w_mu, w_nu), then certifies
+    optimality: the duals must be feasible (u_i + v_j <= c_ij + CERT_TOL,
+    in units of the rescaled cost) and the duality gap below CERT_TOL.
+    Costs are pre-scaled so the largest entry is 1, which keeps CERT_TOL
+    meaningful.
+
+    The route is chosen from the input.  Square problems with constant
+    weights on both sides take the assignment route: a Hungarian-type
+    solver finds an optimal permutation and Bellman-Ford over the reduced
+    costs recovers the duals.  Every other problem, and an assignment
+    result whose certificate fails, takes the LP route (HiGHS dual
+    simplex), whose certificate must hold.
 
     Parameters
     ----------
@@ -156,15 +208,16 @@ def discrete_ot_exact(cost, w_mu, w_nu):
     -------
     TransportResult
         cost = optimal value, plan = optimal basic plan, error = certified
-        duality gap (in original cost units), meta carries the duals.
+        duality gap (in original cost units), meta carries the duals and
+        the route taken ("assignment" or "lp").
 
     Raises
     ------
     SizeCap
         If n*m exceeds 2**20.
     Infeasible
-        If the solver fails or the optimality certificate does not hold;
-        neither can occur for normalized weights and signals a bug.
+        If the solver fails or the LP's optimality certificate does not
+        hold; neither can occur for normalized weights and signals a bug.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2:
@@ -185,40 +238,29 @@ def discrete_ot_exact(cost, w_mu, w_nu):
     a = a / a.sum()
     b = b / b.sum()
 
-    scale = c.max()
-    if scale == 0.0:
-        plan = sparse.coo_array(np.outer(a, b))
-        return TransportResult(cost=0.0, plan=plan, method="exact-ot",
-                               error=0.0, meta={"gap": 0.0})
+    scale = c.max() or 1.0   # an all-zero cost is solved as is
     cs = c / scale
-
-    a_eq = sparse.vstack([
-        sparse.kron(sparse.eye(n), np.ones((1, m))),
-        sparse.kron(np.ones((1, n)), sparse.eye(m)),
-    ]).tocsc()
-    res = linprog(cs.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise Infeasible("LP solver failed: %s" % res.message)
-
-    u = res.eqlin.marginals[:n]
-    v = res.eqlin.marginals[n:]
-    slack = (u[:, None] + v[None, :]) - cs
-    gap = abs(res.fun - (u @ a + v @ b))
-    if slack.max() > CERT_TOL or gap > CERT_TOL:
+    uniform = n == m and np.all(a == a[0]) and np.all(b == b[0])
+    for route in ("assignment", "lp") if uniform else ("lp",):
+        fun, u, v, plan = _ROUTES[route](cs, a, b)
+        slack = ((u[:, None] + v[None, :]) - cs).max()
+        gap = abs(fun - (u @ a + v @ b))
+        if slack <= CERT_TOL and gap <= CERT_TOL:
+            break
+    else:
         raise Infeasible("optimality certificate failed "
-                         "(slack %.2e, gap %.2e)" % (slack.max(), gap))
+                         "(slack %.2e, gap %.2e)" % (slack, gap))
 
-    x = np.maximum(res.x.reshape(n, m), 0.0)
-    plan = sparse.coo_array(x)
-    plan.eliminate_zeros()
-    value = float(res.fun * scale)
-    _check_plan(plan, a, b, value, float((x * c).sum()))
+    value = float(fun * scale)
+    _check_plan(plan, a, b, value,
+                float(plan.data @ c[plan.row, plan.col]))
     return TransportResult(
         cost=value, plan=plan, method="exact-ot", error=float(gap * scale),
-        meta={"gap": float(gap), "dual_u": u * scale, "dual_v": v * scale})
+        meta={"gap": float(gap), "dual_u": u * scale, "dual_v": v * scale,
+              "route": route})
+
+
+_ROUTES = {"assignment": _assignment_route, "lp": _lp_route}
 
 
 def w2_gaussian(m1, c1, m2, c2):
@@ -294,7 +336,7 @@ def bounded_distance(mu, nu, base_metric=None, subsample=256, stream=None,
                      resamples=16):
     """W over the capped metric min(rho, 1) between empirical measures.
 
-    The capped cost is solved exactly by LP on the given supports.  When a
+    The capped cost is solved exactly on the given supports.  When a
     support exceeds ``subsample`` points it is reduced by deterministic
     stratified resampling (one point per weight stratum, mid-stratum
     offset), and a bootstrap over ``resamples`` random stratum offsets
@@ -306,7 +348,7 @@ def bounded_distance(mu, nu, base_metric=None, subsample=256, stream=None,
     base_metric : callable, optional
         rho(x_pts, y_pts) -> pairwise matrix; Euclidean when omitted.
     subsample : int
-        Per-side support cap; subsample**2 must not exceed the LP size cap.
+        Per-side support cap; subsample**2 must not exceed SIZE_CAP.
     stream : RngStream, optional
         Required only when subsampling actually happens.
     resamples : int

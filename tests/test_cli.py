@@ -286,6 +286,26 @@ def test_containment_error_column_described(tmp_path):
         assert route in desc
 
 
+@pytest.mark.parametrize("replicas, metric, routes", [
+    (16, None, {"assignment": 4, "lp": 0}),      # clouds solved exactly
+    (260, None, {"assignment": 4, "lp": 0}),     # subsampled to 256 points
+    (16, {"type": "exact"}, {"assignment": 0, "lp": 0}),   # closed form
+])
+def test_containment_counts_ot_routes(tmp_path, replicas, metric, routes):
+    doc = {"kind": "containment", "seed": 4,
+           "kernel": {"family": "gaussian-ar", "cov_sqrt": [[1.0]]},
+           "init": {"tuning": {"variant": "ar-coef", "gamma": 0.5}},
+           "params": {"x": [2.0], "eps": [0.5], "n_max": 3,
+                      "replicas": replicas}}
+    if metric is not None:
+        doc["metric"] = metric
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["containment", "--config", cfg, "--out", str(out)]) == 0
+    s = json.loads((out / "summary.json").read_text())
+    assert s["ot_routes"] == routes
+
+
 def test_distance_exact_1d(tmp_path):
     doc = {"kind": "distance", "seed": 1,
            "params": {"method": "exact-1d",

@@ -8,7 +8,7 @@ from adaptmc.diagnostics import (BoundTable, HarrisConstants, Observable,
                                  estimate_containment, estimate_diminishing,
                                  harris_constants, lln_curve,
                                  restricted_adaptation_drift_bound,
-                                 verify_harris_contraction)
+                                 verify_harris_contraction, _stationary_of)
 from adaptmc.errors import (ContractionViolated, HypothesisFailed,
                             ParamOutOfRange, SizeCap)
 from adaptmc.kernels import (ArCoef, DiscreteAr, DiscreteBase, DiscreteRwm,
@@ -329,6 +329,25 @@ def test_ar_bound_table_atom_cap():
 
 # ---------------------------------------------------------------------------
 # explicit contraction constants
+
+def test_stationary_law_rejects_two_closed_classes():
+    # states 0 and 2 absorb: every mix of their point masses is stationary
+    P = np.array([[1.0, 0.0, 0.0], [0.3, 0.4, 0.3], [0.0, 0.0, 1.0]])
+    with pytest.raises(HypothesisFailed, match="closed class"):
+        _stationary_of(P)
+
+
+def test_stationary_law_residual_on_ergodic_chain():
+    rng = np.random.default_rng(8)
+    P = rng.uniform(size=(8, 8))
+    P /= P.sum(axis=1, keepdims=True)
+    pi = _stationary_of(P)
+    assert np.abs(pi @ P - pi).max() <= 1e-12
+    assert pi.min() >= 0.0 and abs(pi.sum() - 1.0) <= 1e-15
+    # one closed class plus a transient state: the transient state gets 0
+    Q = np.array([[0.5, 0.5, 0.0], [0.25, 0.75, 0.0], [0.2, 0.3, 0.5]])
+    assert np.abs(_stationary_of(Q) - [1 / 3, 2 / 3, 0.0]).max() <= 1e-12
+
 
 def test_harris_constants_worked_example():
     c = harris_constants(0.5, 1.0, 0.2, 0.2, 0.1)

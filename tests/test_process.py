@@ -162,6 +162,32 @@ def test_restricted_set_freezes_outside_region():
     assert traj.verify_freeze(pol)
 
 
+def test_restricted_set_reads_grid_coordinates():
+    # on a grid chain the set is tested at the grid point, not the index:
+    # the inner policy runs exactly at the steps whose point lies in S
+    grid = np.linspace(0.0, 2.0, 41)
+    kern = DiscreteRwm(grid, lambda x: float(np.exp(-0.5 * np.dot(x, x))))
+    calls = []
+
+    class Recorder:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def propose(self, hist, stream):
+            calls.append(hist.t)
+            return self.inner.propose(hist, stream)
+
+    pol = RestrictedSet(Recorder(DiminishingContinuous(
+        harmonic, matrix_moment_matching(0.05))), radius=1.0)
+    init = (MatrixScale(np.eye(1), eig_min=0.05), 10)
+    traj = run_adaptive(kern, pol, init, 300, make_stream(1, 0))
+    inside = [t for t in range(traj.horizon)
+              if abs(grid[traj.states[t]]) <= 1.0]
+    assert calls == inside
+    assert any(s > 1 for s in traj.states[:-1] if abs(grid[s]) <= 1.0)
+    assert traj.verify_freeze(pol)
+
+
 def test_verify_freeze_catches_a_doctored_trajectory():
     traj = AdaptiveTrajectory(
         seed=0, stream_id=0,

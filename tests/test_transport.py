@@ -3,10 +3,13 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adaptmc import transport
 from adaptmc.core import EmpiricalMeasure, make_stream
 from adaptmc.errors import DimensionError, Error, SizeCap
-from adaptmc.transport import (bounded_distance, discrete_ot_exact,
+from adaptmc.transport import (CERT_TOL, bounded_distance, discrete_ot_exact,
                                euclidean_metric, sliced_w1, w1_atoms_vs_uniform01,
                                w2_gaussian, w_exact_1d)
 
@@ -133,6 +136,89 @@ def test_ot_certificate_reported():
     assert r.error <= 1e-9 * c.max()
     u, v = r.meta["dual_u"], r.meta["dual_v"]
     assert (u[:, None] + v[None, :] - c).max() <= 1e-9 * c.max() + 1e-15
+
+
+# Entries drawn from a few fixed values give many exact ties; capping at 1
+# adds more, as the capped metric does.
+_ENTRY = st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
+                   st.floats(0.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def _square_costs(draw):
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return np.full((n, n), draw(_ENTRY))
+    entries = draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))
+    return np.minimum(np.reshape(entries, (n, n)), 1.0)
+
+
+def _lp_value(c, a, b):
+    scale = c.max() or 1.0
+    return transport._lp_route(c / scale, a, b)[0] * scale
+
+
+def _assert_certified(r, c):
+    u, v = r.meta["dual_u"], r.meta["dual_v"]
+    assert (u[:, None] + v[None, :] - c).max() <= CERT_TOL * c.max()
+    assert r.meta["gap"] <= CERT_TOL
+    assert r.error <= CERT_TOL * c.max()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_square_costs())
+def test_ot_assignment_route_matches_bruteforce_and_lp(c):
+    n = c.shape[0]
+    w = np.full(n, 1.0 / n)
+    r = discrete_ot_exact(c, w, w)
+    assert r.meta["route"] == "assignment"
+    best = min(c[np.arange(n), list(p)].sum() / n
+               for p in permutations(range(n)))
+    assert abs(r.cost - best) <= 1e-12
+    assert abs(r.cost - _lp_value(c, w, w)) <= 1e-12
+    _assert_certified(r, c)
+    # the plan is a permutation carrying mass 1/n per row
+    dense = r.plan.toarray()
+    assert np.array_equal(np.sort(dense.argmax(axis=1)), np.arange(n))
+    assert np.allclose(dense.sum(axis=1), w, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+def test_ot_other_weights_take_the_lp_route(n, m, uniform, data):
+    if uniform:
+        if n == m:
+            m += 1
+        a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
+    else:
+        m = n = max(n, 2)
+        raw = np.asarray(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n,
+                                            max_size=n)))
+        if np.all(raw == raw[0]):
+            raw[0] *= 2.0
+        a, b = raw / raw.sum(), np.full(n, 1.0 / n)
+    entries = data.draw(st.lists(_ENTRY, min_size=n * m, max_size=n * m))
+    c = np.minimum(np.reshape(entries, (n, m)), 1.0)
+    r = discrete_ot_exact(c, a, b)
+    assert r.meta["route"] == "lp"
+    assert abs(r.cost - _lp_value(c, a, b)) <= 1e-12
+    _assert_certified(r, c)
+
+
+def test_ot_failed_assignment_certificate_falls_back_to_lp(monkeypatch):
+    rng = np.random.default_rng(4)
+    c = rng.uniform(size=(5, 5))
+    w = np.full(5, 0.2)
+
+    def uncertified(cs, a, b):
+        fun, u, v, plan = transport._assignment_route(cs, a, b)
+        return fun, u + 1e-6, v, plan   # duals now infeasible
+
+    monkeypatch.setitem(transport._ROUTES, "assignment", uncertified)
+    r = discrete_ot_exact(c, w, w)
+    assert r.meta["route"] == "lp"
+    assert abs(r.cost - _lp_value(c, w, w)) <= 1e-12
+    _assert_certified(r, c)
 
 
 def test_ot_size_cap():
