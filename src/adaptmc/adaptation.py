@@ -14,6 +14,11 @@ classes here cover the regimes the convergence theory cares about:
 
 Freeze rules are exact: a frozen call returns the current tuning object
 unchanged and consumes no randomness, so trajectories replay bit-for-bit.
+
+Each policy declares through ``reads_moments`` whether it reads the
+history's running moments (see :func:`reads_moments`): only
+:class:`DiminishingContinuous` with :func:`matrix_moment_matching` does,
+and the wrappers read what their inner policy reads.
 """
 
 from dataclasses import dataclass, field
@@ -29,43 +34,63 @@ from .kernels import (ArCoef, DiscreteBase, LangevinTuning, MatrixScale,
 
 @dataclass
 class HistorySummary:
-    """Summarized chain history: current position plus running moments.
+    """Summarized chain history: current position, optionally running moments.
 
     The moments are exact functions of the visited states x_0..x_t (plain
-    running averages, no decay), which is what the continuous policies
-    consume.  They are taken in state coordinates: where a state is not a
-    point itself (a grid index), ``start`` and ``advance`` take its
-    coordinates as ``point``.  ``point`` holds the current state's
-    coordinates, which is what :class:`RestrictedSet` tests.
+    running averages, no decay).  Only moment-matching directions read
+    them, so they are kept only when ``start`` is asked for them
+    (``moments=True``, the default); ``iterate_adaptive`` asks exactly
+    when :func:`reads_moments` says the policy reads them.  Without
+    moments, ``mean`` and ``second_moment`` are None and ``advance``
+    updates the position alone.  The moments are taken in state
+    coordinates: where a state is not a point itself (a grid index),
+    ``start`` and ``advance`` take its coordinates as ``point``.
+    ``point`` holds the current state's coordinates, which is what
+    :class:`RestrictedSet` tests.
     """
 
     t: int
     state: object
     point: object
     tuning: TuningParam
-    mean: np.ndarray
-    second_moment: np.ndarray
+    mean: Optional[np.ndarray]
+    second_moment: Optional[np.ndarray]
     count: int
 
     @classmethod
-    def start(cls, tuning, state, point=None):
+    def start(cls, tuning, state, point=None, moments=True):
         point = state if point is None else point
-        x = np.atleast_1d(np.asarray(point, dtype=float))
+        mean = second = None
+        if moments:
+            x = np.atleast_1d(np.asarray(point, dtype=float))
+            mean, second = x.copy(), np.outer(x, x)
         return cls(t=0, state=state, point=point, tuning=tuning,
-                   mean=x.copy(), second_moment=np.outer(x, x), count=1)
+                   mean=mean, second_moment=second, count=1)
 
     def advance(self, tuning, state, point=None):
         """Append one (tuning, state) pair to the summarized prefix."""
         point = state if point is None else point
-        x = np.atleast_1d(np.asarray(point, dtype=float))
         self.t += 1
         self.count += 1
         self.state = state
         self.point = point
         self.tuning = tuning
+        if self.mean is None:
+            return
+        x = np.atleast_1d(np.asarray(point, dtype=float))
         self.mean = self.mean + (x - self.mean) / self.count
         self.second_moment = self.second_moment \
             + (np.outer(x, x) - self.second_moment) / self.count
+
+
+def reads_moments(policy):
+    """Does a policy or direction rule read the history's running moments?
+
+    Every built-in policy declares it as a ``reads_moments`` attribute;
+    any other object counts as a reader, so a user policy always sees
+    full moments.
+    """
+    return bool(getattr(policy, "reads_moments", True))
 
 
 def change_magnitude(a, b):
@@ -95,6 +120,10 @@ class FiniteAdaptation:
         self.t_stop = int(t_stop)
         self.base = base
 
+    @property
+    def reads_moments(self):
+        return self.base is not None and reads_moments(self.base)
+
     def propose(self, hist, stream):
         if self.base is None or hist.t >= self.t_stop:
             return hist.tuning
@@ -108,6 +137,8 @@ class DiminishingDiscrete:
     fires.  The re-draw may land on the current value, so the change
     probability is p_t (1 - 1/K) for K distinct candidates.
     """
+
+    reads_moments = False
 
     def __init__(self, candidates, prob):
         candidates = list(candidates)
@@ -175,6 +206,10 @@ class DiminishingContinuous:
         self.step_sizes = step_sizes
         self.direction = direction
 
+    @property
+    def reads_moments(self):
+        return reads_moments(self.direction)
+
     def propose(self, hist, stream):
         if isinstance(hist.tuning, DiscreteBase):
             raise VariantMismatch("use DiminishingDiscrete for integer tunings")
@@ -197,6 +232,8 @@ def matrix_moment_matching(eig_min=0.05, ridge=1e-6):
     """
 
     def direction(hist):
+        if hist.mean is None:
+            raise Error("moment matching needs a history that keeps moments")
         mean = np.atleast_1d(hist.mean)
         d = mean.shape[0]
         cov = np.atleast_2d(hist.second_moment) - np.outer(mean, mean)
@@ -206,6 +243,7 @@ def matrix_moment_matching(eig_min=0.05, ridge=1e-6):
         return MatrixScale(_clip_matrix_to_box(0.5 * (prec + prec.T), eig_min),
                            eig_min=eig_min, descriptor="moment-match")
 
+    direction.reads_moments = True
     return direction
 
 
@@ -216,6 +254,7 @@ def toward_gamma(target, gamma_max=0.99):
     def direction(hist):
         return fixed
 
+    direction.reads_moments = False
     return direction
 
 
@@ -226,6 +265,8 @@ class DeterministicStepSchedule:
     |h_t - h_limit| decreases monotonically to zero.  A custom ``schedule``
     callable overrides it; the limit is then the caller's claim.
     """
+
+    reads_moments = False
 
     def __init__(self, matrix, h0, h_limit, step_min=None, schedule=None):
         if not isinstance(matrix, PsdMatrix):
@@ -269,6 +310,10 @@ class RestrictedSet:
         self.inner = inner
         self.radius = radius
         self.predicate = predicate
+
+    @property
+    def reads_moments(self):
+        return reads_moments(self.inner)
 
     def allows(self, point):
         if self.predicate is not None:
@@ -328,7 +373,8 @@ def da_schedule_audit(policy, horizon, stream, init_tuning=None,
     mags = np.zeros(horizon)
     for r in range(replicas):
         sub = stream.substream(r)
-        hist = HistorySummary.start(init_tuning, init_state)
+        hist = HistorySummary.start(init_tuning, init_state,
+                                    moments=reads_moments(policy))
         for t in range(horizon):
             new = adapt(policy, hist, sub)
             m = change_magnitude(new, hist.tuning)

@@ -7,6 +7,7 @@ an estimate that runs past its horizon is labeled censored.
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,14 +67,10 @@ def default_pi_sampler(kernel, tuning, burn_factor=10.0):
 
     def sampler(stream, size, _burn=burn):
         dim = tuning.matrix.dim if hasattr(tuning, "matrix") else 1
-        out = []
-        x = np.zeros(dim)
-        for _ in range(_burn):
-            x = kernel.step(x, tuning, stream)
-        for _ in range(int(size)):
-            x = kernel.step(x, tuning, stream)
-            out.append(np.atleast_1d(np.asarray(x, dtype=float)))
-        return np.asarray(out)
+        path = kernel.frozen_path(np.zeros(dim), tuning, stream,
+                                  _burn + int(size))
+        return np.asarray([np.atleast_1d(np.asarray(x, dtype=float))
+                           for x in islice(path, _burn, None)])
     return sampler, {"method": "pilot-chain", "burn_in": burn,
                      "note": "approximate reference"}
 
@@ -184,19 +181,19 @@ def estimate_containment(kernel, tuning, x, eps, metric, n_max, pi_sampler,
         else:
             meta_pi = {"method": "caller-supplied"}
         base = metric  # callable (x, y) -> distances, or None for euclidean
-        pts = np.empty((replicas, n_max + 1), dtype=object)
+        x0 = state_point(kernel, x)
+        pts = np.empty((replicas, n_max + 1, x0.shape[0]))
         for r in range(replicas):
-            s = stream.substream(1000 + r)
-            xi = x
-            pts[r, 0] = state_point(kernel, xi)
-            for n in range(1, n_max + 1):
-                xi = kernel.step(xi, tuning, s)
+            pts[r, 0] = x0
+            path = kernel.frozen_path(x, tuning, stream.substream(1000 + r),
+                                      n_max)
+            for n, xi in enumerate(path, 1):
                 pts[r, n] = state_point(kernel, xi)
         ref = EmpiricalMeasure(pi_sampler(stream.substream(1), replicas))
         dist = np.empty(n_max + 1)
         err = np.empty(n_max + 1)
         for n in range(n_max + 1):
-            cloud = EmpiricalMeasure(np.asarray(list(pts[:, n])))
+            cloud = EmpiricalMeasure(pts[:, n])
             res = bounded_distance(cloud, ref, base_metric=base,
                                    stream=stream.substream(2 + n))
             dist[n], err[n] = res.cost, res.error
@@ -438,13 +435,16 @@ def lln_curve(kernel, policy, init, phi, pi_reference_value, t_grid, replicas,
     The average at horizon T is over the post-initialization states
     X_1..X_T.  The slope is least squares on the log-log curve (None when
     some MSE is exactly zero), and the monotone flag allows a 2x noise
-    band between successive grid points.
+    band between successive grid points.  The standard errors need at
+    least two replicas.
     """
     if not isinstance(phi, Observable):
         phi = Observable(name=getattr(phi, "__name__", "phi"), fn=phi)
     t_grid = np.asarray(sorted(set(int(t) for t in t_grid)))
     if np.any(t_grid < 1):
         raise ParamOutOfRange("horizons must be >= 1")
+    if replicas < 2:
+        raise ParamOutOfRange("need at least 2 replicas for a standard error")
     horizon = int(t_grid[-1])
     marks = {int(t): i for i, t in enumerate(t_grid)}
     sq = np.zeros((replicas, t_grid.size))
@@ -459,8 +459,7 @@ def lln_curve(kernel, policy, init, phi, pi_reference_value, t_grid, replicas,
                 avg = total / t
                 sq[r, marks[t]] = (avg - pi_reference_value) ** 2
     mse = sq.mean(0)
-    stderr = sq.std(0, ddof=1) / np.sqrt(replicas) if replicas > 1 \
-        else np.zeros_like(mse)
+    stderr = sq.std(0, ddof=1) / np.sqrt(replicas)
     if np.all(mse > 0):
         slope = float(np.polyfit(np.log(t_grid), np.log(mse), 1)[0])
     else:

@@ -121,6 +121,14 @@ def _build_metric(spec):
     raise SchemaError(f"metric.type: unknown metric '{typ}'")
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 _OBSERVABLES = {
     "first-coordinate": lambda x: float(np.atleast_1d(x)[0]),
     "capped-norm": lambda x: min(float(np.linalg.norm(np.atleast_1d(x))),
@@ -350,9 +358,21 @@ def _run_lln(cfg, out_dir, stream):
     if name not in _OBSERVABLES:
         raise SchemaError(f"params.phi: unknown observable '{name}'")
     phi = Observable(name, _OBSERVABLES[name], lip=1.0)
-    rep = lln_curve(kernel, policy, init, phi, float(p["reference"]),
-                    [int(t) for t in p.get("t_grid", [100, 1000])],
-                    int(p.get("replicas", 64)), stream)
+    reference = p.get("reference")
+    if not _is_number(reference):
+        raise SchemaError("params.reference: needs a number, the "
+                          "observable's mean under pi")
+    t_grid = p.get("t_grid", [100, 1000])
+    if not (isinstance(t_grid, list) and t_grid
+            and all(_is_int(t) and t >= 1 for t in t_grid)):
+        raise SchemaError("params.t_grid: must be a non-empty list of "
+                          "integers >= 1")
+    replicas = p.get("replicas", 64)
+    if not (_is_int(replicas) and replicas >= 2):
+        raise SchemaError("params.replicas: must be an integer >= 2 (the "
+                          "standard error needs two replicas)")
+    rep = lln_curve(kernel, policy, init, phi, float(reference), t_grid,
+                    replicas, stream)
     rows = [[int(rep.t_grid[i]), float(rep.mse[i]),
              float(rep.mse_stderr[i])] for i in range(len(rep.t_grid))]
     files = _write_csv(out_dir, "lln",

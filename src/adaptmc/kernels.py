@@ -1,8 +1,9 @@
 """Parameterized Markov kernel families and their shared-noise couplings.
 
-Five families, each split into ``draw_noise(stream, tuning)``, which takes
-one step's randomness from the stream, and ``apply(x, tuning, noise)``,
-which checks the state and tuning and makes the update:
+Five families, each split into ``draw_noise(stream, tuning, size=None)``,
+which takes one step's randomness from the stream (or a block of ``size``
+steps' randomness in one draw), and ``apply(x, tuning, noise)``, which
+checks the state and tuning and makes the update:
 
 * :class:`DiscreteAr`: x -> x/g + k/g on [0, 1), k uniform in {0..g-1}.
 * :class:`GaussianAr`: x -> g x + sqrt(1 - g^2) S z, invariant N(0, S S').
@@ -12,12 +13,13 @@ which checks the state and tuning and makes the update:
 * :class:`DiffusionTime1`: Euler integration over [0, 1] of the
   overdamped Langevin diffusion with preconditioner M.
 
-``step`` and ``coupled_step`` are written once, on :class:`Kernel`: a step
-applies one draw to one state, and a coupled step applies the same draw to
-two states, possibly under different tunings.  Each coupled output is thus
-marginally a single step, and the couplings make the contraction estimates
-in the diagnostics module deterministic rather than statistical: same noise
-in, difference out.
+``step``, ``coupled_step`` and ``frozen_path`` are written once, on
+:class:`Kernel`: a step applies one draw to one state, a coupled step
+applies the same draw to two states, possibly under different tunings,
+and a frozen path applies the rows of block draws one after another.
+Each coupled output is thus marginally a single step, and the couplings
+make the contraction estimates in the diagnostics module deterministic
+rather than statistical: same noise in, difference out.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +34,7 @@ from .errors import (DimensionMismatch, DomainError, Error, StepSizeOutOfRange,
 MATRIX_EIG_TOL = 1e-12   # slack when checking the [eig_min, 1] box
 ROW_SUM_TOL = 1e-12      # transition-matrix rows must sum to 1 within this
 STATIONARY_TOL = 1e-12   # max |pi P - pi| accepted for a stationary law
+BLOCK_STEPS = 4096       # most steps of noise frozen_path draws at once
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))  # top of DiscreteAr's domain
 
 
@@ -175,11 +178,15 @@ def potential_check(potential, dim, stream, pairs=256, radius=5.0, tol=1e-9):
 class Kernel:
     """One update path shared by every family.
 
-    A family defines ``draw_noise(stream, tuning)``, which takes the step's
-    randomness from the stream, and ``apply(x, tuning, noise)``, which checks
-    the state and tuning and maps x to its successor.  ``step`` applies one
-    draw to one state; ``coupled_step`` applies the same draw to two states,
-    so each output is marginally a single step under its own tuning.
+    A family defines ``draw_noise(stream, tuning, size=None)``, which takes
+    the step's randomness from the stream, and ``apply(x, tuning, noise)``,
+    which checks the state and tuning and maps x to its successor.  With
+    ``size`` set, ``draw_noise`` returns a block whose row k is the noise of
+    step k: a counter-based stream fills a block exactly as it would make
+    the same draws one at a time, so the rows equal ``size`` single draws
+    bit for bit.  ``step`` applies one draw to one state; ``coupled_step``
+    applies the same draw to two states, so each output is marginally a
+    single step under its own tuning.
     """
 
     tuning_variant = None
@@ -199,6 +206,23 @@ class Kernel:
         noise = self.draw_noise(stream, tuning_x)
         return self.apply(x, tuning_x, noise), self.apply(y, tuning_y, noise)
 
+    def frozen_path(self, x, tuning, stream, steps):
+        """Yield x_1..x_steps of the chain started at x, frozen at ``tuning``.
+
+        The noise is drawn in blocks of up to BLOCK_STEPS steps and each
+        row is applied on its own, so the states and draws are those of
+        ``steps`` calls of ``step``; nothing else may draw from ``stream``
+        until the last state is taken.  As in ``step``, the tuning's variant
+        is checked only when a step is taken.
+        """
+        while steps > 0:
+            _require_variant(self, tuning)
+            k = min(steps, BLOCK_STEPS)
+            for noise in self.draw_noise(stream, tuning, size=k):
+                x = self.apply(x, tuning, noise)
+                yield x
+            steps -= k
+
 
 class DiscreteAr(Kernel):
     """Base-g refinement chain on [0, 1) with invariant law Unif[0, 1).
@@ -212,8 +236,10 @@ class DiscreteAr(Kernel):
 
     tuning_variant = DiscreteBase
 
-    def draw_noise(self, stream, tuning):
-        return float(stream.uniform())
+    def draw_noise(self, stream, tuning, size=None):
+        """One uniform; with ``size``, a (size,) block of them."""
+        u = stream.uniform(size)
+        return float(u) if size is None else u
 
     def apply(self, x, tuning, noise):
         x = float(x)
@@ -249,8 +275,16 @@ class GaussianAr(Kernel):
     def dim(self):
         return self.cov_sqrt.dim
 
-    def draw_noise(self, stream, tuning):
-        return self.cov_sqrt.entries @ stream.normal(self.dim)
+    def draw_noise(self, stream, tuning, size=None):
+        """S z for one normal vector z; with ``size``, a (size, d) block.
+
+        A block's rows are S z_k taken one at a time: S @ z and z @ S.T
+        need not round alike, and the rows must equal single draws.
+        """
+        s = self.cov_sqrt.entries
+        if size is None:
+            return s @ stream.normal(self.dim)
+        return np.array([s @ z for z in stream.normal((size, self.dim))])
 
     def apply(self, x, tuning, noise):
         x = np.asarray(x, dtype=float)
@@ -356,9 +390,14 @@ class DiscreteRwm(Kernel):
             return i  # leftover constant-normalizer mass: self-proposal
         return int(np.searchsorted(cdf[i], u, side="right"))
 
-    def draw_noise(self, stream, tuning):
-        # two uniforms per step, always, so replay and coupling line up
-        return float(stream.uniform()), float(stream.uniform())
+    def draw_noise(self, stream, tuning, size=None):
+        """Two uniforms (proposal, accept); with ``size``, a (size, 2) block.
+
+        Every step takes both, so replay and coupling line up.
+        """
+        if size is None:
+            return float(stream.uniform()), float(stream.uniform())
+        return stream.uniform((size, 2))
 
     def apply(self, i, tuning, noise):
         """One Metropolis step from grid index i; returns a grid index."""
@@ -438,8 +477,10 @@ class Ula(Kernel):
     def __init__(self, potential):
         self.potential = potential
 
-    def draw_noise(self, stream, tuning):
-        return stream.normal(tuning.matrix.dim)
+    def draw_noise(self, stream, tuning, size=None):
+        """One (d,) normal vector; with ``size``, a (size, d) block."""
+        d = tuning.matrix.dim
+        return stream.normal(d if size is None else (size, d))
 
     def apply(self, x, tuning, noise):
         h_max = 1.0 / (self.potential.convex_param + self.potential.lip_param)
@@ -472,8 +513,10 @@ class DiffusionTime1(Kernel):
         self.potential = potential
         self.substeps = int(substeps)
 
-    def draw_noise(self, stream, tuning):
-        return stream.normal((self.substeps, tuning.matrix.dim))
+    def draw_noise(self, stream, tuning, size=None):
+        """One (substeps, d) block of normals; with ``size``, one per step."""
+        shape = (self.substeps, tuning.matrix.dim)
+        return stream.normal(shape if size is None else (size,) + shape)
 
     def apply(self, x, tuning, noise):
         m = _matrix_for(x, tuning)

@@ -14,7 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .adaptation import FiniteAdaptation, HistorySummary, RestrictedSet, adapt
+from .adaptation import (FiniteAdaptation, HistorySummary, RestrictedSet,
+                         adapt, reads_moments)
 from .core import EmpiricalMeasure, RngStream, make_stream
 from .errors import Error
 from .kernels import DiscreteRwm
@@ -114,16 +115,23 @@ def iterate_adaptive(kernel, policy, init, horizon, stream, t_stop=None,
     Yields the initialization at t=0, then one triple per step.  With
     ``t_stop`` set, adaptation halts there: later steps reuse the frozen
     tuning and skip the policy entirely (no stream draws), which is the
-    finite-adaptation comparison process.  An existing ``hist`` continues
-    a previous run instead of re-initializing.
+    finite-adaptation comparison process.  The history keeps running
+    moments only when :func:`~adaptmc.adaptation.reads_moments` says the
+    policy reads them.  An existing ``hist`` continues a previous run
+    instead of re-initializing; it must keep moments if the policy reads
+    them.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if hist is None:
         tuning, state = _resolve_init(init, stream)
         hist = HistorySummary.start(tuning, state,
-                                    _coordinates(kernel, state))
+                                    _coordinates(kernel, state),
+                                    moments=reads_moments(policy))
         yield hist.t, tuning, state
+    elif hist.mean is None and reads_moments(policy):
+        raise Error("the policy reads history moments but the continued "
+                    "history keeps none")
     end = hist.t + horizon
     while hist.t < end:
         if t_stop is not None and hist.t >= t_stop:

@@ -5,9 +5,10 @@ from adaptmc.adaptation import (DeterministicStepSchedule, DiminishingContinuous
                                 DiminishingDiscrete, FiniteAdaptation,
                                 HistorySummary, RestrictedSet, adapt,
                                 change_magnitude, da_schedule_audit,
-                                matrix_moment_matching, toward_gamma)
+                                matrix_moment_matching, reads_moments,
+                                toward_gamma)
 from adaptmc.core import PsdMatrix, make_stream
-from adaptmc.errors import VariantMismatch
+from adaptmc.errors import Error, VariantMismatch
 from adaptmc.kernels import (ArCoef, DiscreteBase, LangevinTuning, MatrixScale)
 
 
@@ -22,6 +23,55 @@ def test_history_summary_exact_moments():
     assert np.allclose(hist.mean, states.mean(axis=0))
     outer = np.einsum("ni,nj->ij", states, states) / 40
     assert np.allclose(hist.second_moment, outer)
+
+
+def test_history_summary_without_moments_tracks_position():
+    hist = HistorySummary.start(DiscreteBase(2), 0.1, moments=False)
+    hist.advance(DiscreteBase(3), 0.4, point=0.5)
+    assert (hist.t, hist.count, hist.state, hist.point) == (1, 2, 0.4, 0.5)
+    assert hist.tuning == DiscreteBase(3)
+    assert hist.mean is None and hist.second_moment is None
+    with pytest.raises(Error, match="moments"):
+        matrix_moment_matching()(hist)
+
+
+def _discrete():
+    return DiminishingDiscrete([DiscreteBase(2), DiscreteBase(3)],
+                               prob=lambda t: 0.5)
+
+
+def _moment_matching():
+    return DiminishingContinuous(lambda t: 0.5, matrix_moment_matching())
+
+
+@pytest.mark.parametrize("make,reads", [
+    (_discrete, False),
+    (lambda: DiminishingContinuous(lambda t: 0.5, toward_gamma(0.9)), False),
+    (_moment_matching, True),
+    (lambda: DeterministicStepSchedule(np.eye(2), 0.2, 0.1), False),
+    (lambda: FiniteAdaptation(5), False),
+    (lambda: FiniteAdaptation(5, base=_discrete()), False),
+    (lambda: FiniteAdaptation(5, base=_moment_matching()), True),
+    (lambda: RestrictedSet(_discrete(), radius=1.0), False),
+    (lambda: RestrictedSet(_moment_matching(), radius=1.0), True),
+    (lambda: RestrictedSet(FiniteAdaptation(5, base=_moment_matching()),
+                           radius=1.0), True),
+], ids=["discrete", "toward-gamma", "moment-matching", "step-schedule",
+        "frozen", "finite-discrete", "finite-moments", "restricted-discrete",
+        "restricted-moments", "restricted-finite-moments"])
+def test_policies_declare_whether_they_read_moments(make, reads):
+    # the wrappers forward their inner policy's declaration both ways
+    assert reads_moments(make()) is reads
+
+
+def test_undeclared_policies_and_directions_read_moments():
+    class UserPolicy:
+        def propose(self, hist, stream):
+            return hist.tuning
+
+    assert reads_moments(UserPolicy())
+    assert reads_moments(DiminishingContinuous(lambda t: 0.5,
+                                               lambda hist: ArCoef(0.5)))
 
 
 def test_change_magnitude_variants():
@@ -128,6 +178,23 @@ def test_audit_harmonic_schedule_slope():
     slope = np.polyfit(xs, ys, 1)[0]
     assert -1.2 <= slope <= -0.8
     assert not audit.non_diminishing
+
+
+def test_audit_keeps_moments_only_for_readers(monkeypatch):
+    made = []
+    start = HistorySummary.start.__func__
+
+    def recording_start(cls, *args, **kwargs):
+        made.append(start(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(HistorySummary, "start", classmethod(recording_start))
+    da_schedule_audit(_discrete(), 5, make_stream(8, 1),
+                      init_tuning=DiscreteBase(2), replicas=2)
+    da_schedule_audit(_moment_matching(), 5, make_stream(8, 1),
+                      init_tuning=MatrixScale(np.eye(1) * 0.5),
+                      init_state=np.array([0.3]), replicas=2)
+    assert [h.mean is None for h in made] == [True, True, False, False]
 
 
 def test_audit_constant_rate_flagged():

@@ -371,6 +371,31 @@ def test_lln_run(tmp_path):
     assert s["monotone"] is True
 
 
+@pytest.mark.parametrize("field,value", [
+    ("replicas", 0), ("replicas", 1), ("replicas", -3), ("replicas", 2.5),
+    ("t_grid", []), ("t_grid", [10, 2.5]), ("t_grid", ["10"]),
+    ("t_grid", [0, 10]), ("reference", None), ("reference", "half"),
+], ids=["replicas-0", "replicas-1", "replicas-negative", "replicas-float",
+        "t_grid-empty", "t_grid-float", "t_grid-string", "t_grid-zero",
+        "reference-missing", "reference-string"])
+def test_lln_bad_params_exit_2(tmp_path, capsys, field, value):
+    doc = {"kind": "lln", "seed": 8,
+           "kernel": {"family": "discrete-ar"},
+           "policy": {"type": "frozen"},
+           "init": {"tuning": {"variant": "discrete-base", "gamma": 2},
+                    "state": 0.25},
+           "params": {"reference": 0.5, "t_grid": [10, 20], "replicas": 4}}
+    if value is None:
+        del doc["params"][field]
+    else:
+        doc["params"][field] = value
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["lln", "--config", cfg, "--out", str(out)]) == 2
+    assert "params." + field in capsys.readouterr().err
+    assert not (out / "lln.csv").exists()
+
+
 def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 3
     assert "artifacts" in capsys.readouterr().err

@@ -62,6 +62,20 @@ def test_pi_sampler_ula_reports_burn_in():
     assert abs(np.var(draws) - target) < 0.3
 
 
+def test_pi_sampler_pilot_chain_equals_stepwise_chain():
+    pot = quadratic_potential(np.diag([1.0, 3.0]))
+    tun = LangevinTuning(PsdMatrix.identity(2), 0.2)
+    kern = Ula(pot)
+    sampler, meta = default_pi_sampler(kern, tun)
+    draws = sampler(make_stream(4, 2), 30)
+    stream, x, want = make_stream(4, 2), np.zeros(2), []
+    for k in range(meta["burn_in"] + 30):
+        x = kern.step(x, tun, stream)
+        if k >= meta["burn_in"]:
+            want.append(x)
+    assert draws.tobytes() == np.asarray(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # containment
 
@@ -279,6 +293,14 @@ def test_lln_constant_observable_is_exact_zero():
     assert np.all(rep.mse == 0.0)
     assert rep.slope is None
     assert rep.monotone
+
+
+def test_lln_needs_two_replicas():
+    with pytest.raises(ParamOutOfRange, match="replicas"):
+        lln_curve(DiscreteAr(), DiminishingDiscrete(
+            candidates=(DiscreteBase(2),), prob=lambda t: 0.0),
+            (DiscreteBase(2), 0.3), lambda x: x, 0.5, [10], 1,
+            make_stream(1, 0))
 
 
 def test_lln_rejects_bad_grid():

@@ -589,3 +589,49 @@ def test_coupled_step_checks_states_like_step(kern, good, bad, tun, err):
         kern.coupled_step(bad, tun, good, tun, make_stream(0, 0))
     with pytest.raises(err):
         kern.coupled_step(good, tun, bad, tun, make_stream(0, 0))
+
+
+@pytest.mark.parametrize("case", _family_cases(),
+                         ids=lambda c: type(c[0]).__name__)
+def test_block_noise_equals_single_draws_bit_for_bit(case):
+    # draw_noise(size=T) is T single draws, and applying its rows one
+    # after another is T calls of step
+    kern, x0, tuning = case[:3]
+    blk, one, path = make_stream(72, 3), make_stream(72, 3), make_stream(72, 3)
+    block = kern.draw_noise(blk, tuning, size=40)
+    assert len(block) == 40
+    x, xs = x0, x0
+    for row in block:
+        single = kern.draw_noise(one, tuning)
+        assert np.asarray(row).tobytes() == np.asarray(single).tobytes()
+        x = kern.apply(x, tuning, row)
+        xs = kern.step(xs, tuning, path)
+        assert np.asarray(x).tobytes() == np.asarray(xs).tobytes()
+    assert blk.uniform() == one.uniform()
+
+
+@pytest.mark.parametrize("case", _family_cases(),
+                         ids=lambda c: type(c[0]).__name__)
+def test_frozen_path_equals_steps_across_blocks(case, monkeypatch):
+    # blocks of 3 steps: a 10-step path crosses three block boundaries
+    import adaptmc.kernels as kernels
+    monkeypatch.setattr(kernels, "BLOCK_STEPS", 3)
+    kern, x0, tuning = case[:3]
+    sp, ss = make_stream(73, 1), make_stream(73, 1)
+    path = list(kern.frozen_path(x0, tuning, sp, 10))
+    xs, want = x0, []
+    for _ in range(10):
+        xs = kern.step(xs, tuning, ss)
+        want.append(xs)
+    assert [np.asarray(p).tobytes() for p in path] \
+        == [np.asarray(w).tobytes() for w in want]
+    assert sp.uniform() == ss.uniform()
+    assert list(kern.frozen_path(x0, tuning, sp, 0)) == []
+
+
+def test_frozen_path_checks_variant():
+    with pytest.raises(VariantMismatch):
+        list(DiscreteAr().frozen_path(0.5, ArCoef(0.5), make_stream(0, 0), 3))
+    # like zero calls of step, a zero-step path checks nothing
+    assert list(DiscreteAr().frozen_path(0.5, ArCoef(0.5),
+                                         make_stream(0, 0), 0)) == []

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from adaptmc.adaptation import (DiminishingContinuous, DiminishingDiscrete,
-                                FiniteAdaptation, RestrictedSet,
-                                matrix_moment_matching, toward_gamma)
+from adaptmc.adaptation import (DeterministicStepSchedule,
+                                DiminishingContinuous, DiminishingDiscrete,
+                                FiniteAdaptation, HistorySummary,
+                                RestrictedSet, matrix_moment_matching,
+                                reads_moments, toward_gamma)
 from adaptmc.core import make_stream
+from adaptmc.errors import Error
 from adaptmc.kernels import (ArCoef, DiscreteAr, DiscreteBase, DiscreteRwm,
-                             GaussianAr, MatrixScale)
+                             GaussianAr, LangevinTuning, MatrixScale, Ula,
+                             quadratic_potential)
 from adaptmc.process import (AdaptiveTrajectory, iterate_adaptive,
                              run_adaptive, run_ensemble,
                              run_finite_adaptation)
@@ -258,3 +262,81 @@ def test_ensemble_argument_validation():
         run_ensemble(kern, pol, init, 10, 4, [11], make_stream(1, 0))
     with pytest.raises(ValueError):
         run_finite_adaptation(kern, pol, init, -1, 5, make_stream(1, 0))
+
+
+class _Opaque:
+    """A policy that declares nothing, so every run of it keeps moments."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def propose(self, hist, stream):
+        return self.inner.propose(hist, stream)
+
+
+def _tuning_bytes(tuning):
+    # PsdMatrix has no value equality: compare its bytes, other fields' reprs
+    return [v.entries.tobytes() if hasattr(v, "entries") else repr(v)
+            for v in vars(tuning).values()]
+
+
+def _rwm():
+    grid = np.linspace(-2.0, 2.0, 21)
+    return DiscreteRwm(grid, np.exp(-0.5 * grid ** 2))
+
+
+def _policy_cases():
+    mm = DiminishingContinuous(harmonic, matrix_moment_matching())
+    rwm_init = (MatrixScale(np.eye(1) * 0.5), 4)
+    return [
+        (DiscreteAr(), DiminishingDiscrete(dbase(2, 3, 4), prob=harmonic),
+         (DiscreteBase(2), 0.3)),
+        (GaussianAr(np.eye(2)),
+         DiminishingContinuous(harmonic, toward_gamma(0.9)),
+         (ArCoef(0.5), np.array([1.0, -1.0]))),
+        (_rwm(), mm, rwm_init),
+        (Ula(quadratic_potential(np.diag([1.0, 2.0]))),
+         DeterministicStepSchedule(np.eye(2), 0.3, 0.1),
+         (LangevinTuning(np.eye(2), step=0.3, step_min=0.1),
+          np.array([1.0, 2.0]))),
+        (_rwm(), FiniteAdaptation(60, base=mm), rwm_init),
+        (_rwm(), RestrictedSet(mm, radius=1.0), rwm_init),
+    ]
+
+
+@pytest.mark.parametrize("case", _policy_cases(), ids=[
+    "discrete", "toward-gamma", "moment-matching", "step-schedule",
+    "finite-moments", "restricted-moments"])
+def test_lazy_moments_run_is_bit_identical(case, monkeypatch):
+    kern, pol, init = case
+    made = []
+    start = HistorySummary.start.__func__
+
+    def recording_start(cls, *args, **kwargs):
+        made.append(start(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(HistorySummary, "start", classmethod(recording_start))
+    lazy = run_adaptive(kern, pol, init, 150, make_stream(31, 2))
+    full = run_adaptive(kern, _Opaque(pol), init, 150, make_stream(31, 2))
+    assert [h.mean is None for h in made] == [not reads_moments(pol), False]
+    assert [np.asarray(x).tobytes() for x in lazy.states] \
+        == [np.asarray(x).tobytes() for x in full.states]
+    assert [_tuning_bytes(g) for g in lazy.tunings] \
+        == [_tuning_bytes(g) for g in full.tunings]
+
+
+def test_continued_history_needs_moments_for_readers():
+    kern = _rwm()
+    pol = DiminishingContinuous(harmonic, matrix_moment_matching())
+    hist = HistorySummary.start(MatrixScale(np.eye(1) * 0.5), 4,
+                                point=kern.grid[4], moments=False)
+    with pytest.raises(Error, match="moments"):
+        next(iterate_adaptive(kern, pol, None, 10, make_stream(3, 0),
+                              hist=hist))
+    # a policy that reads no moments continues a moment-free history
+    lazy = HistorySummary.start(DiscreteBase(2), 0.3, moments=False)
+    pol = DiminishingDiscrete(dbase(2, 3), prob=harmonic)
+    steps = list(iterate_adaptive(DiscreteAr(), pol, None, 10,
+                                  make_stream(3, 0), hist=lazy))
+    assert len(steps) == 10 and lazy.t == 10 and lazy.mean is None
