@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .core import (EmpiricalMeasure, PsdMatrix, RngStream, gaussian_sample,
-                   make_stream, psd_sqrt)
+from .core import (EmpiricalMeasure, PsdMatrix, RngStream, make_stream,
+                   psd_sqrt)
 from .errors import (ContractionViolated, DimensionError, DimensionMismatch,
                      DomainError, Error, HypothesisFailed, Infeasible,
                      MissingArtifact, NonPsd, ParamOutOfRange, SchemaError,
@@ -16,15 +16,12 @@ from .adaptation import (DeterministicStepSchedule, DiminishingContinuous,
                          DiminishingDiscrete, FiniteAdaptation, HistorySummary,
                          RestrictedSet, adapt)
 from .process import (AdaptiveTrajectory, EnsembleCrossSection,
-                      iterate_adaptive, run_adaptive, run_ensemble,
-                      run_finite_adaptation)
+                      iterate_adaptive, run_adaptive, run_ensemble)
 from .transport import (TransportResult, bounded_distance,
                         discrete_ot_exact, sliced_w1, w2_gaussian, w_exact_1d)
 from .diagnostics import (BoundTable, ContainmentEstimate, DriftReport,
                           HarrisConstants, HarrisReport, LLNReport,
                           Observable, ar_bound_check, check_drift,
-                          containment_profile, default_pi_sampler,
-                          estimate_containment, estimate_diminishing,
-                          harris_constants, lln_curve,
-                          restricted_adaptation_drift_bound,
+                          default_pi_sampler, estimate_containment,
+                          estimate_diminishing, harris_constants, lln_curve,
                           verify_harris_contraction)

@@ -21,8 +21,8 @@ history's running moments (see :func:`reads_moments`): only
 and the wrappers read what their inner policy reads.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class HistorySummary:
     tuning: TuningParam
     mean: Optional[np.ndarray]
     second_moment: Optional[np.ndarray]
-    count: int
 
     @classmethod
     def start(cls, tuning, state, point=None, moments=True):
@@ -65,22 +64,22 @@ class HistorySummary:
             x = np.atleast_1d(np.asarray(point, dtype=float))
             mean, second = x.copy(), np.outer(x, x)
         return cls(t=0, state=state, point=point, tuning=tuning,
-                   mean=mean, second_moment=second, count=1)
+                   mean=mean, second_moment=second)
 
     def advance(self, tuning, state, point=None):
         """Append one (tuning, state) pair to the summarized prefix."""
         point = state if point is None else point
         self.t += 1
-        self.count += 1
         self.state = state
         self.point = point
         self.tuning = tuning
         if self.mean is None:
             return
         x = np.atleast_1d(np.asarray(point, dtype=float))
-        self.mean = self.mean + (x - self.mean) / self.count
+        n = self.t + 1
+        self.mean = self.mean + (x - self.mean) / n
         self.second_moment = self.second_moment \
-            + (np.outer(x, x) - self.second_moment) / self.count
+            + (np.outer(x, x) - self.second_moment) / n
 
 
 def reads_moments(policy):
@@ -91,21 +90,6 @@ def reads_moments(policy):
     full moments.
     """
     return bool(getattr(policy, "reads_moments", True))
-
-
-def change_magnitude(a, b):
-    """Size of a tuning move, by variant: |dgamma|, |dh| + |dM|_F, |dM|_F."""
-    if type(a) is not type(b):
-        raise VariantMismatch("cannot compare %s with %s"
-                              % (type(a).__name__, type(b).__name__))
-    if isinstance(a, (DiscreteBase, ArCoef)):
-        return abs(float(a.gamma) - float(b.gamma))
-    if isinstance(a, MatrixScale):
-        return float(np.linalg.norm(a.matrix.entries - b.matrix.entries))
-    if isinstance(a, LangevinTuning):
-        return abs(a.step - b.step) \
-            + float(np.linalg.norm(a.matrix.entries - b.matrix.entries))
-    raise VariantMismatch("unknown tuning variant %r" % (a,))
 
 
 class FiniteAdaptation:
@@ -335,59 +319,3 @@ def adapt(policy, hist, stream):
                               % (type(hist.tuning).__name__,
                                  type(new).__name__))
     return new
-
-
-@dataclass
-class ScheduleAudit:
-    """Empirical picture of how fast a policy's moves die out."""
-
-    ts: np.ndarray               # step indices 1..horizon
-    eta_grid: np.ndarray         # change-size thresholds
-    probs: np.ndarray            # (horizon, len(eta_grid)) P(change > eta)
-    mean_magnitude: np.ndarray   # per-t average change size
-    non_diminishing: bool        # late-window activity comparable to early
-    early_rate: float
-    late_rate: float
-
-
-def da_schedule_audit(policy, horizon, stream, init_tuning=None,
-                      init_state=0.0, replicas=64,
-                      eta_grid=(1e-12, 1e-3, 1e-2, 1e-1)):
-    """Estimate per-t change probabilities P(|G_{t+1} - G_t| > eta).
-
-    The policy runs against a pinned state (adaptation schedules are
-    state-independent for the built-ins; state-dependent rules are audited
-    at the given point), ``replicas`` times with independent substreams.
-
-    The non-diminishing flag fires when the smallest-threshold change rate
-    over the last tenth of the horizon is both at least half the rate over
-    the first tenth and above 0.01: schedules whose activity never decays
-    fail the diminishing premise.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if init_tuning is None:
-        raise ValueError("init_tuning is required")
-    eta = np.asarray(eta_grid, dtype=float)
-    hits = np.zeros((horizon, eta.shape[0]))
-    mags = np.zeros(horizon)
-    for r in range(replicas):
-        sub = stream.substream(r)
-        hist = HistorySummary.start(init_tuning, init_state,
-                                    moments=reads_moments(policy))
-        for t in range(horizon):
-            new = adapt(policy, hist, sub)
-            m = change_magnitude(new, hist.tuning)
-            mags[t] += m
-            hits[t] += m > eta
-            hist.advance(new, init_state)
-    probs = hits / replicas
-    mags = mags / replicas
-    tenth = max(horizon // 10, 1)
-    early = float(probs[:tenth, 0].mean())
-    late = float(probs[-tenth:, 0].mean())
-    non_dim = late > 0.01 and late > 0.5 * early
-    return ScheduleAudit(ts=np.arange(1, horizon + 1), eta_grid=eta,
-                         probs=probs, mean_magnitude=mags,
-                         non_diminishing=non_dim, early_rate=early,
-                         late_rate=late)

@@ -160,13 +160,6 @@ class PsdMatrix:
     def trace(self):
         return float(np.trace(self.entries))
 
-    def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionMismatch("vector length %d != matrix dim %d"
-                                    % (x.shape[-1], self.dim))
-        return x @ self.entries
-
     def sqrt(self):
         """Symmetric PSD square root; see :func:`psd_sqrt`."""
         return psd_sqrt(self)
@@ -259,26 +252,3 @@ class EmpiricalMeasure:
     def __repr__(self):
         return "EmpiricalMeasure(n=%d, d=%d)" % self.points.shape
 
-
-def gaussian_sample(stream, mean, cov_sqrt, size=None):
-    """Draw from N(mean, S @ S) given the matrix square root S.
-
-    ``size`` draws (default one) are returned as an array of shape
-    (size, d), or (d,) when size is None.
-    """
-    mean = np.asarray(mean, dtype=float)
-    if mean.ndim != 1:
-        raise DimensionMismatch("mean must be a vector")
-    if isinstance(cov_sqrt, PsdMatrix):
-        s = cov_sqrt.entries
-    else:
-        s = np.asarray(cov_sqrt, dtype=float)
-    if s.shape != (mean.shape[0], mean.shape[0]):
-        raise DimensionMismatch("cov_sqrt shape %s incompatible with mean "
-                                "length %d" % (s.shape, mean.shape[0]))
-    d = mean.shape[0]
-    if size is None:
-        z = stream.normal(d)
-        return mean + s @ z
-    z = stream.normal((int(size), d))
-    return mean + z @ s.T

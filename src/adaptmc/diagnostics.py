@@ -83,11 +83,10 @@ class ContainmentEstimate:
     """Distance-to-target curves and the first horizon where they stay
     under eps.
 
-    ``distances[i, n]`` estimates the capped distance after n frozen steps
-    for query i; ``m_hat[i]`` is the smallest N with the whole tail
-    [N, n_max] at or under eps, and censored marks queries where no such
-    N exists within the horizon.  ``tail_grid``/``tail_probs`` give the
-    empirical curve P(m_hat >= T') over the queries.
+    Each array has one row, for the start point x.  ``distances[0, n]``
+    estimates the capped distance after n frozen steps; ``m_hat[0]`` is
+    the smallest N with the whole tail [N, n_max] at or under eps, and
+    ``censored[0]`` marks that no such N exists within the horizon.
     """
 
     eps: float
@@ -95,9 +94,6 @@ class ContainmentEstimate:
     errors: np.ndarray
     m_hat: np.ndarray
     censored: np.ndarray
-    tail_grid: np.ndarray
-    tail_probs: np.ndarray
-    ts: Optional[tuple] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -121,12 +117,6 @@ def _first_settled(distances, eps):
     ok = suffix <= eps
     m = np.where(ok.any(1), ok.argmax(1), cols)
     return m, m == cols
-
-
-def _tail_curve(m_hat, n_max):
-    grid = np.arange(n_max + 2)
-    probs = np.array([(m_hat >= tp).mean() for tp in grid])
-    return grid, probs
 
 
 def _closed_form_distances(kernel, tuning, x, t_max):
@@ -203,39 +193,9 @@ def estimate_containment(kernel, tuning, x, eps, metric, n_max, pi_sampler,
     meta["ot_routes"] = ot_routes
     dist = dist.reshape(1, -1)
     m, cens = _first_settled(dist, eps)
-    grid, probs = _tail_curve(m, n_max)
     return ContainmentEstimate(eps=eps, distances=dist,
                                errors=err.reshape(1, -1), m_hat=m,
-                               censored=cens, tail_grid=grid,
-                               tail_probs=probs, meta=meta)
-
-
-def containment_profile(kernel, trajectory, ts, eps, metric, n_max,
-                        pi_sampler, replicas, stream):
-    """Containment estimates at sampled (tuning, state) points of a run.
-
-    Reports the empirical tail curve sup-over-sampled-t of P(m_hat >= T');
-    this exhibits boundedness in probability over the sampled window and
-    claims nothing beyond it.
-    """
-    ts = sorted(set(int(t) for t in ts))
-    if ts and (ts[0] < 0 or ts[-1] > trajectory.horizon):
-        raise ParamOutOfRange("profile times must lie in [0, horizon]")
-    rows, errs = [], []
-    for j, t in enumerate(ts):
-        one = estimate_containment(kernel, trajectory.tunings[t],
-                                   trajectory.states[t], eps, metric, n_max,
-                                   pi_sampler, replicas,
-                                   stream.substream(7000 + j))
-        rows.append(one.distances[0])
-        errs.append(one.errors[0])
-    dist = np.asarray(rows)
-    m, cens = _first_settled(dist, eps)
-    grid, probs = _tail_curve(m, n_max)
-    return ContainmentEstimate(eps=eps, distances=dist, errors=np.asarray(errs),
-                               m_hat=m, censored=cens, tail_grid=grid,
-                               tail_probs=probs, ts=tuple(ts),
-                               meta={"route": "profile"})
+                               censored=cens, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +217,6 @@ class DiminishingEstimate:
     values: np.ndarray
     non_diminishing: bool
     threshold: float
-
-    def trend(self, k=0):
-        return self.values[:, k]
 
 
 def _pair_at(kernel, states, sep, stream):
@@ -712,11 +669,3 @@ def verify_harris_contraction(chains, V, rho, constants, t_max=20):
                         one_step_margin=float(one_margin),
                         t_step_margin=float(t_margin), t_checked=t_max)
 
-
-def restricted_adaptation_drift_bound(lam, K, V0):
-    """Uniform bound on E V along a drift-respecting adaptive run."""
-    if not 0.0 <= lam < 1.0:
-        raise ParamOutOfRange("lam must lie in [0, 1)")
-    if K < 0.0 or V0 < 0.0:
-        raise ParamOutOfRange("K and V0 must be nonnegative")
-    return 2.0 * K / (1.0 - lam) + V0

@@ -23,16 +23,12 @@ from .diagnostics import (Observable, ar_bound_check, check_drift,
                           default_pi_sampler, estimate_containment,
                           estimate_diminishing, harris_constants, lln_curve,
                           verify_harris_contraction)
-from .errors import (ContractionViolated, Error, HypothesisFailed,
-                     MissingArtifact, SchemaError)
+from .errors import (ContractionViolated, HypothesisFailed, MissingArtifact,
+                     SchemaError)
 from .kernels import ArCoef, DiscreteBase, LangevinTuning, MatrixScale
 from .process import run_adaptive, run_ensemble, state_point
 from .transport import (bounded_distance, discrete_ot_exact,
                         euclidean_metric, sliced_w1, w2_gaussian, w_exact_1d)
-
-
-class BoundFalsified(Error):
-    """A quantitative claim the experiment set out to reproduce failed."""
 
 
 def _fmt(x):
@@ -127,6 +123,31 @@ def _is_int(v):
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int_param(p, name, default, least):
+    v = p.get(name, default)
+    if not (_is_int(v) and v >= least):
+        raise SchemaError(f"params.{name}: must be an integer >= {least}")
+    return v
+
+
+def _float_array(value, path, ndim):
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.ndim != ndim:
+        raise SchemaError(f"{path}: must be a {ndim}-D array of numbers")
+    return a
+
+
+def _square_param(value, path, n):
+    a = _float_array(value, path, 2)
+    if a.shape != (n, n):
+        raise SchemaError(f"{path}: must be {n}x{n} to match params.V, got "
+                          f"shape {a.shape}")
+    return a
 
 
 _OBSERVABLES = {
@@ -249,12 +270,12 @@ def _run_containment(cfg, out_dir, stream):
                                                                dtype=float))
     eps_grid = sorted((p["eps"] if isinstance(p["eps"], list)
                        else [p["eps"]]), reverse=True)
-    n_max = int(p.get("n_max", 32))
+    n_max = _int_param(p, "n_max", 32, 0)
+    replicas = _int_param(p, "replicas", 128, 2)
     metric = _build_metric(cfg.metric)
     sampler, meta = default_pi_sampler(kernel, tuning)
     est = estimate_containment(kernel, tuning, x, float(min(eps_grid)),
-                               metric, n_max, sampler,
-                               int(p.get("replicas", 128)), stream)
+                               metric, n_max, sampler, replicas, stream)
     rows = [[n, float(est.distances[0, n]), float(est.errors[0, n])]
             for n in range(n_max + 1)]
     files = _write_csv(out_dir, "containment",
@@ -367,10 +388,7 @@ def _run_lln(cfg, out_dir, stream):
             and all(_is_int(t) and t >= 1 for t in t_grid)):
         raise SchemaError("params.t_grid: must be a non-empty list of "
                           "integers >= 1")
-    replicas = p.get("replicas", 64)
-    if not (_is_int(replicas) and replicas >= 2):
-        raise SchemaError("params.replicas: must be an integer >= 2 (the "
-                          "standard error needs two replicas)")
+    replicas = _int_param(p, "replicas", 64, 2)
     rep = lln_curve(kernel, policy, init, phi, float(reference), t_grid,
                     replicas, stream)
     rows = [[int(rep.t_grid[i]), float(rep.mse[i]),
@@ -431,13 +449,13 @@ def _run_harris_verify(cfg, out_dir, stream):
     p = cfg.params
     c = harris_constants(float(p["lam"]), float(p["K"]), float(p["kappa"]),
                          float(p["alpha"]), float(p["delta"]))
-    chains = {}
-    for i, spec in enumerate(p["chains"]):
-        chains["chain%d" % i] = np.asarray(spec["matrix"], dtype=float)
-    V = np.asarray(p["V"], dtype=float)
+    V = _float_array(p["V"], "params.V", 1)
     n = len(V)
+    chains = {"chain%d" % i: _square_param(
+        spec["matrix"], "params.chains[%d].matrix" % i, n)
+        for i, spec in enumerate(p["chains"])}
     if "rho" in p:
-        rho = np.asarray(p["rho"], dtype=float)
+        rho = _square_param(p["rho"], "params.rho", n)
     else:
         rho = (1.0 - np.eye(n))
     code = 0

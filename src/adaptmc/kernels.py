@@ -22,12 +22,12 @@ make the contraction estimates in the diagnostics module deterministic
 rather than statistical: same noise in, difference out.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import PsdMatrix, RngStream, psd_sqrt
+from .core import PsdMatrix
 from .errors import (DimensionMismatch, DomainError, Error, StepSizeOutOfRange,
                      VariantMismatch, ZeroDensity)
 
@@ -117,13 +117,13 @@ TuningParam = Union[DiscreteBase, ArCoef, MatrixScale, LangevinTuning]
 class PotentialSpec:
     """Gradient oracle with strong-convexity and Lipschitz constants.
 
-    The constants are claims about ``gradient``:
+    The constants are the caller's claims about ``gradient``:
 
         <grad(x) - grad(y), x - y>  >=  convex_param |x - y|^2
         |grad(x) - grad(y)|         <=  lip_param |x - y|
 
-    They are spot-checked by :func:`potential_check` on sampled pairs, not
-    taken on faith.
+    Nothing here checks them; :func:`quadratic_potential` derives them
+    exactly from the Hessian's extreme eigenvalues.
     """
     gradient: Callable
     convex_param: float
@@ -149,28 +149,6 @@ def quadratic_potential(hessian):
 
     return PotentialSpec(gradient=grad, convex_param=float(w[0]),
                          lip_param=float(w[-1]))
-
-
-def potential_check(potential, dim, stream, pairs=256, radius=5.0, tol=1e-9):
-    """Spot-check the claimed (convex_param, lip_param) on random pairs.
-
-    Returns a list of (x, y, kind) violations; empty means every sampled
-    pair satisfied both inequalities up to ``tol`` slack.
-    """
-    out = []
-    for _ in range(pairs):
-        x = stream.normal(dim) * radius
-        y = stream.normal(dim) * radius
-        dx = x - y
-        nrm2 = float(dx @ dx)
-        if nrm2 == 0.0:
-            continue
-        dg = np.asarray(potential.gradient(x)) - np.asarray(potential.gradient(y))
-        if float(dg @ dx) < potential.convex_param * nrm2 - tol:
-            out.append((x, y, "strong_convexity"))
-        if float(dg @ dg) > potential.lip_param ** 2 * nrm2 + tol:
-            out.append((x, y, "lipschitz"))
-    return out
 
 
 # ------------------------------------------------------------ kernel families
@@ -445,20 +423,6 @@ class DiscreteRwm(Kernel):
                         % (resid, STATIONARY_TOL))
         return pi
 
-    def dobrushin_coefficient(self, tuning):
-        """max over state pairs of TV(P(i,.), P(j,.)) for the finite grid.
-
-        The strict-contraction analogue of a minorization constant: values
-        below 1 certify uniform ergodicity of the frozen chain.
-        """
-        p = self.transition_matrix(tuning)
-        worst = 0.0
-        for a in range(self.size):
-            diff = np.abs(p[a + 1:] - p[a]).sum(axis=1)
-            if diff.size:
-                worst = max(worst, 0.5 * float(diff.max()))
-        return worst
-
     def __repr__(self):
         return "DiscreteRwm(size=%d)" % self.size
 
@@ -548,12 +512,3 @@ def _require_variant(kernel, *tunings):
             raise VariantMismatch("%r expects %s tunings, got %r"
                                   % (kernel, want.__name__, type(t).__name__))
 
-
-def step(kernel, x, tuning, stream):
-    """Dispatch one independent step on any kernel family."""
-    return kernel.step(x, tuning, stream)
-
-
-def coupled_step(kernel, x, tuning_x, y, tuning_y, stream):
-    """Advance two copies of the kernel off one shared noise draw."""
-    return kernel.coupled_step(x, tuning_x, y, tuning_y, stream)

@@ -1,22 +1,22 @@
-"""Trajectory runners: adaptive chains, finite-adaptation twins, ensembles.
+"""Trajectory runners: adaptive chains and ensembles.
 
 The joint update order matters and is fixed here once for every caller:
 at step t the tuning moves first (G_t from the policy, given history
 through t-1), then the state moves under the freshly drawn tuning
-(X_t ~ P_{G_t}(X_{t-1}, .)).  A finite-adaptation run executes the same
+(X_t ~ P_{G_t}(X_{t-1}, .)).  The finite-adaptation twin of a run is the
+same run under ``FiniteAdaptation(t_stop, policy)``: it executes the same
 code, draw for draw, until its stop time, then keeps the tuning frozen and
-consumes no further adaptation randomness: that is what makes the two
-processes agree bit-for-bit on the shared prefix.
+consumes no further adaptation randomness, so the two processes agree
+bit-for-bit on the shared prefix.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adaptation import (FiniteAdaptation, HistorySummary, RestrictedSet,
                          adapt, reads_moments)
-from .core import EmpiricalMeasure, RngStream, make_stream
+from .core import EmpiricalMeasure, make_stream
 from .errors import Error
 from .kernels import DiscreteRwm
 
@@ -53,17 +53,14 @@ class AdaptiveTrajectory:
 
     ``tunings[t]`` is the parameter the state moved under at step t
     (index 0 is the initialization), so len(tunings) == len(states) ==
-    horizon + 1.  ``t_stop`` is set when the tail was run with the tuning
-    frozen (finite-adaptation comparison process).  ``kernel`` is the
-    kernel the states belong to; freeze checks read a grid chain's states
-    as grid points through it.
+    horizon + 1.  ``kernel`` is the kernel the states belong to; freeze
+    checks read a grid chain's states as grid points through it.
     """
 
     seed: int
     stream_id: int
     tunings: list
     states: list
-    t_stop: Optional[int] = None
     kernel: object = None
 
     def __len__(self):
@@ -73,18 +70,11 @@ class AdaptiveTrajectory:
     def horizon(self):
         return len(self.states) - 1
 
-    def states_array(self):
-        return np.asarray([np.atleast_1d(np.asarray(s, dtype=float))
-                           for s in self.states])
-
     def verify_freeze(self, policy):
         """Check every forced-freeze point kept its tuning unchanged."""
         for t in range(self.horizon):
-            forced = _freeze_required(
-                policy, t, _coordinates(self.kernel, self.states[t]))
-            if self.t_stop is not None and t >= self.t_stop:
-                forced = True
-            if forced:
+            if _freeze_required(
+                    policy, t, _coordinates(self.kernel, self.states[t])):
                 a, b = self.tunings[t + 1], self.tunings[t]
                 if a is not b and a != b:
                     return False
@@ -108,18 +98,14 @@ def _resolve_init(init, stream):
     return tuning, state
 
 
-def iterate_adaptive(kernel, policy, init, horizon, stream, t_stop=None,
-                     hist=None):
+def iterate_adaptive(kernel, policy, init, horizon, stream, hist=None):
     """Generator of (t, tuning, state) driving one adaptive path.
 
-    Yields the initialization at t=0, then one triple per step.  With
-    ``t_stop`` set, adaptation halts there: later steps reuse the frozen
-    tuning and skip the policy entirely (no stream draws), which is the
-    finite-adaptation comparison process.  The history keeps running
-    moments only when :func:`~adaptmc.adaptation.reads_moments` says the
-    policy reads them.  An existing ``hist`` continues a previous run
-    instead of re-initializing; it must keep moments if the policy reads
-    them.
+    Yields the initialization at t=0, then one triple per step.  The
+    history keeps running moments only when
+    :func:`~adaptmc.adaptation.reads_moments` says the policy reads them.
+    An existing ``hist`` continues a previous run instead of
+    re-initializing; it must keep moments if the policy reads them.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -134,16 +120,13 @@ def iterate_adaptive(kernel, policy, init, horizon, stream, t_stop=None,
                     "history keeps none")
     end = hist.t + horizon
     while hist.t < end:
-        if t_stop is not None and hist.t >= t_stop:
-            tuning = hist.tuning
-        else:
-            tuning = adapt(policy, hist, stream)
+        tuning = adapt(policy, hist, stream)
         state = kernel.step(hist.state, tuning, stream)
         hist.advance(tuning, state, _coordinates(kernel, state))
         yield hist.t, tuning, state
 
 
-def run_adaptive(kernel, policy, init, horizon, stream, _t_stop=None):
+def run_adaptive(kernel, policy, init, horizon, stream):
     """Run one adaptive trajectory of the given horizon.
 
     ``init`` is a (tuning, state) pair or a callable(stream) sampling one.
@@ -151,28 +134,14 @@ def run_adaptive(kernel, policy, init, horizon, stream, _t_stop=None):
     """
     tunings, states = [], []
     for _, tuning, state in iterate_adaptive(kernel, policy, init, horizon,
-                                             stream, t_stop=_t_stop):
+                                             stream):
         tunings.append(tuning)
         states.append(state)
     traj = AdaptiveTrajectory(seed=stream.seed, stream_id=stream.stream_id,
-                              tunings=tunings, states=states, t_stop=_t_stop,
-                              kernel=kernel)
+                              tunings=tunings, states=states, kernel=kernel)
     if not traj.verify_freeze(policy):
         raise Error("emitted trajectory violates policy freeze rules")
     return traj
-
-
-def run_finite_adaptation(kernel, policy, init, t_stop, extra_steps, stream):
-    """Adapt through t_stop, then run extra_steps with the tuning frozen.
-
-    Under a shared stream key this agrees with run_adaptive bit-for-bit
-    through index t_stop (the coupled construction used to compare the
-    adaptive process with its finite-adaptation twin).
-    """
-    if t_stop < 0 or extra_steps < 0:
-        raise ValueError("t_stop and extra_steps must be >= 0")
-    return run_adaptive(kernel, policy, init, t_stop + extra_steps, stream,
-                        _t_stop=t_stop)
 
 
 def run_ensemble(kernel, policy, init, horizon, replicas, checkpoints,

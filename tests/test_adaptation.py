@@ -4,7 +4,6 @@ import pytest
 from adaptmc.adaptation import (DeterministicStepSchedule, DiminishingContinuous,
                                 DiminishingDiscrete, FiniteAdaptation,
                                 HistorySummary, RestrictedSet, adapt,
-                                change_magnitude, da_schedule_audit,
                                 matrix_moment_matching, reads_moments,
                                 toward_gamma)
 from adaptmc.core import PsdMatrix, make_stream
@@ -19,7 +18,6 @@ def test_history_summary_exact_moments():
     for s in states[1:]:
         hist.advance(ArCoef(0.5), s)
     assert hist.t == 39
-    assert hist.count == 40
     assert np.allclose(hist.mean, states.mean(axis=0))
     outer = np.einsum("ni,nj->ij", states, states) / 40
     assert np.allclose(hist.second_moment, outer)
@@ -28,7 +26,7 @@ def test_history_summary_exact_moments():
 def test_history_summary_without_moments_tracks_position():
     hist = HistorySummary.start(DiscreteBase(2), 0.1, moments=False)
     hist.advance(DiscreteBase(3), 0.4, point=0.5)
-    assert (hist.t, hist.count, hist.state, hist.point) == (1, 2, 0.4, 0.5)
+    assert (hist.t, hist.state, hist.point) == (1, 0.4, 0.5)
     assert hist.tuning == DiscreteBase(3)
     assert hist.mean is None and hist.second_moment is None
     with pytest.raises(Error, match="moments"):
@@ -72,16 +70,6 @@ def test_undeclared_policies_and_directions_read_moments():
     assert reads_moments(UserPolicy())
     assert reads_moments(DiminishingContinuous(lambda t: 0.5,
                                                lambda hist: ArCoef(0.5)))
-
-
-def test_change_magnitude_variants():
-    assert change_magnitude(DiscreteBase(2), DiscreteBase(5)) == 3.0
-    assert change_magnitude(ArCoef(0.3), ArCoef(0.5)) == pytest.approx(0.2)
-    a = MatrixScale(np.eye(2) * 0.5)
-    b = MatrixScale(np.eye(2) * 0.75)
-    assert change_magnitude(a, b) == pytest.approx(np.sqrt(2 * 0.25 ** 2))
-    with pytest.raises(VariantMismatch):
-        change_magnitude(DiscreteBase(2), ArCoef(0.5))
 
 
 # ------------------------------------------------------------------ freezing
@@ -131,10 +119,17 @@ def test_diminishing_discrete_change_rate_matches_bernoulli():
     # the current value: change probability is p_t * 2/3
     cands = [DiscreteBase(2), DiscreteBase(3), DiscreteBase(5)]
     pol = DiminishingDiscrete(cands, prob=lambda t: 1.0 / (t + 1))
-    audit = da_schedule_audit(pol, 1250, make_stream(42, 0),
-                              init_tuning=DiscreteBase(2), replicas=64)
+    changed = np.zeros((64, 1250))
+    stream = make_stream(42, 0)
+    for r in range(64):
+        sub = stream.substream(r)
+        hist = HistorySummary.start(DiscreteBase(2), 0.0, moments=False)
+        for t in range(1250):
+            new = adapt(pol, hist, sub)
+            changed[r, t] = new != hist.tuning
+            hist.advance(new, 0.0)
     window = slice(800, 1250)
-    est = audit.probs[window, 0].mean()
+    est = changed[:, window].mean()
     ts = np.arange(1250)[window]
     oracle = (1.0 / (ts + 1) * (2.0 / 3.0)).mean()
     n_eff = 64 * (1250 - 800)
@@ -147,63 +142,6 @@ def test_diminishing_discrete_variant_check():
     hist = HistorySummary.start(ArCoef(0.5), 0.0)
     with pytest.raises(VariantMismatch):
         adapt(pol, hist, make_stream(0, 0))
-
-
-# ---------------------------------------------------------------- audit rules
-
-def test_audit_finite_adaptation_zero_after_stop():
-    base = DiminishingDiscrete([DiscreteBase(2), DiscreteBase(7)],
-                               prob=lambda t: 0.8)
-    pol = FiniteAdaptation(50, base=base)
-    audit = da_schedule_audit(pol, 600, make_stream(7, 0),
-                              init_tuning=DiscreteBase(2), replicas=16)
-    assert np.all(audit.mean_magnitude[50:] == 0.0)
-    assert not audit.non_diminishing
-
-
-def test_audit_harmonic_schedule_slope():
-    pol = DiminishingDiscrete([DiscreteBase(2), DiscreteBase(3)],
-                              prob=lambda t: 1.0 / (t + 1))
-    audit = da_schedule_audit(pol, 10000, make_stream(8, 0),
-                              init_tuning=DiscreteBase(2), replicas=64)
-    # log-log slope of the change probability over t in [1e2, 1e4],
-    # averaged in log-spaced bins to tame the per-t noise
-    edges = np.unique(np.logspace(2, 4, 13).astype(int))
-    xs, ys = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        p = audit.probs[lo:hi, 0].mean()
-        if p > 0:
-            xs.append(np.log10(0.5 * (lo + hi)))
-            ys.append(np.log10(p))
-    slope = np.polyfit(xs, ys, 1)[0]
-    assert -1.2 <= slope <= -0.8
-    assert not audit.non_diminishing
-
-
-def test_audit_keeps_moments_only_for_readers(monkeypatch):
-    made = []
-    start = HistorySummary.start.__func__
-
-    def recording_start(cls, *args, **kwargs):
-        made.append(start(cls, *args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(HistorySummary, "start", classmethod(recording_start))
-    da_schedule_audit(_discrete(), 5, make_stream(8, 1),
-                      init_tuning=DiscreteBase(2), replicas=2)
-    da_schedule_audit(_moment_matching(), 5, make_stream(8, 1),
-                      init_tuning=MatrixScale(np.eye(1) * 0.5),
-                      init_state=np.array([0.3]), replicas=2)
-    assert [h.mean is None for h in made] == [True, True, False, False]
-
-
-def test_audit_constant_rate_flagged():
-    pol = DiminishingDiscrete([DiscreteBase(2), DiscreteBase(3),
-                               DiscreteBase(5), DiscreteBase(7)],
-                              prob=lambda t: 0.5)
-    audit = da_schedule_audit(pol, 400, make_stream(9, 0),
-                              init_tuning=DiscreteBase(2), replicas=32)
-    assert audit.non_diminishing
 
 
 # ------------------------------------------------------------ continuous rule

@@ -251,6 +251,51 @@ def test_harris_verify_pass_and_fail(tmp_path, capsys):
     assert {f: s2[f] for f in fields} == {f: getattr(c, f) for f in fields}
 
 
+@pytest.mark.parametrize("field, bad, value", [
+    ("V", "V", [0.0, 0.0, 0.0]),
+    ("chains[0].matrix", "matrix", [[0.7, 0.3, 0.0], [0.4, 0.6, 0.0]]),
+    ("chains[0].matrix", "matrix", [[0.7, 0.3], [0.4]]),
+    ("rho", "rho", [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+    ("rho", "rho", [0.0, 0.5]),
+], ids=["V-longer-than-chain", "chain-not-square", "chain-ragged",
+        "rho-3x3", "rho-vector"])
+def test_harris_verify_bad_shapes_exit_2(tmp_path, capsys, field, bad,
+                                         value):
+    params = {"lam": 0.5, "K": 0.1, "kappa": 0.5, "alpha": 0.5,
+              "delta": 0.1, "t_max": 6,
+              "chains": [{"matrix": [[0.7, 0.3], [0.4, 0.6]]}],
+              "V": [0.0, 0.0], "rho": [[0.0, 0.5], [0.5, 0.0]]}
+    if bad == "matrix":
+        params["chains"][0]["matrix"] = value
+    else:
+        params[bad] = value
+    cfg = write_cfg(tmp_path, {"kind": "harris-verify", "seed": 1,
+                               "params": params})
+    out = tmp_path / "out"
+    assert main(["harris-verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "params." + field in err and "Traceback" not in err
+    assert not (out / "margins.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("replicas", 0), ("replicas", 1), ("replicas", -3), ("replicas", 2.5),
+    ("n_max", -3), ("n_max", 2.5), ("n_max", "8"),
+], ids=["replicas-0", "replicas-1", "replicas-negative", "replicas-float",
+        "n_max-negative", "n_max-float", "n_max-string"])
+def test_containment_bad_params_exit_2(tmp_path, capsys, field, value):
+    doc = {"kind": "containment", "seed": 2,
+           "kernel": {"family": "gaussian-ar", "cov_sqrt": [[1.0]]},
+           "init": {"tuning": {"variant": "ar-coef", "gamma": 0.5}},
+           "params": {"x": [2.0], "eps": [0.5], "n_max": 3, "replicas": 8}}
+    doc["params"][field] = value
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["containment", "--config", cfg, "--out", str(out)]) == 2
+    assert "params." + field in capsys.readouterr().err
+    assert not (out / "containment.csv").exists()
+
+
 def test_containment_censoring_reported(tmp_path, capsys):
     doc = {"kind": "containment", "seed": 2,
            "kernel": {"family": "gaussian-ar", "cov_sqrt": [[1.0]]},

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from adaptmc.core import (EmpiricalMeasure, PsdMatrix, RngStream,
-                          gaussian_sample, make_stream, psd_sqrt)
+from adaptmc.core import (EmpiricalMeasure, PsdMatrix, RngStream, make_stream,
+                          psd_sqrt)
 from adaptmc.errors import DimensionMismatch, NonPsd
 
 
@@ -166,18 +166,3 @@ def test_empirical_measure_rejects_empty():
 def test_empirical_measure_mean():
     m = EmpiricalMeasure([0.0, 1.0], weights=[0.25, 0.75])
     assert m.mean() == pytest.approx([0.75])
-
-
-def test_gaussian_sample_dimension_check():
-    s = make_stream(0, 0)
-    with pytest.raises(DimensionMismatch):
-        gaussian_sample(s, np.zeros(3), np.eye(2))
-
-
-def test_gaussian_sample_moments():
-    stream = make_stream(2024, 0)
-    c = np.array([[2.0, 0.6], [0.6, 1.0]])
-    root = psd_sqrt(c)
-    x = gaussian_sample(stream, np.array([1.0, -1.0]), root, size=20000)
-    assert np.abs(x.mean(axis=0) - [1.0, -1.0]).max() < 0.05
-    assert np.abs(np.cov(x.T) - c).max() < 0.1

@@ -4,11 +4,10 @@ import pytest
 from adaptmc.core import PsdMatrix, make_stream
 from adaptmc.diagnostics import (BoundTable, HarrisConstants, Observable,
                                  ar_bound_check, check_drift,
-                                 containment_profile, default_pi_sampler,
-                                 estimate_containment, estimate_diminishing,
-                                 harris_constants, lln_curve,
-                                 restricted_adaptation_drift_bound,
-                                 verify_harris_contraction, _stationary_of)
+                                 default_pi_sampler, estimate_containment,
+                                 estimate_diminishing, harris_constants,
+                                 lln_curve, verify_harris_contraction,
+                                 _stationary_of)
 from adaptmc.errors import (ContractionViolated, HypothesisFailed,
                             ParamOutOfRange, SizeCap)
 from adaptmc.kernels import (ArCoef, DiscreteAr, DiscreteBase, DiscreteRwm,
@@ -105,7 +104,6 @@ def test_containment_censoring_is_explicit():
                                "exact", 8, None, 0, make_stream(1, 0))
     assert est.any_censored
     assert est.m_hat[0] == est.n_max + 1
-    assert np.all(est.tail_probs == 1.0)
 
 
 def test_containment_exact_gaussian_closed_form():
@@ -156,21 +154,6 @@ def test_containment_ula_settling_grows_with_log_one_over_eps():
     d = est.distances[0][1:10]
     step_ratio = np.exp(np.polyfit(np.arange(9), np.log(d), 1)[0])
     assert abs(step_ratio - 0.8) < 0.08
-
-
-def test_containment_profile_tail_curve():
-    kern = DiscreteAr()
-    traj = frozen_traj(DiscreteBase(2), 0.0, 6)
-    prof = containment_profile(kern, traj, [0, 2, 4], 0.1, "exact", 8,
-                               None, 0, make_stream(1, 0))
-    assert prof.distances.shape == (3, 9)
-    assert np.all(prof.m_hat == 3)
-    # tail curve drops from 1 to 0 after T' = 3
-    assert prof.tail_probs[3] == 1.0
-    assert prof.tail_probs[4] == 0.0
-    with pytest.raises(ParamOutOfRange):
-        containment_profile(kern, traj, [7], 0.1, "exact", 2, None, 0,
-                            make_stream(1, 0))
 
 
 def test_containment_rejects_bad_eps():
@@ -453,12 +436,3 @@ def test_harris_doctored_constants_trip_contraction_check():
                            f1=c.f1, f2=c.f2, f3=c.f3, alpha_star=0.95)
     with pytest.raises(ContractionViolated):
         verify_harris_contraction(P, V, rho, fake)
-
-
-def test_restricted_adaptation_drift_bound():
-    assert restricted_adaptation_drift_bound(0.5, 1.0, 0.0) == 4.0
-    assert restricted_adaptation_drift_bound(0.5, 0.0, 2.5) == 2.5
-    assert restricted_adaptation_drift_bound(1e-12, 1.0, 1.0) == \
-        pytest.approx(3.0, abs=1e-9)
-    with pytest.raises(ParamOutOfRange):
-        restricted_adaptation_drift_bound(1.0, 1.0, 0.0)

@@ -8,8 +8,8 @@ from adaptmc.errors import (DimensionMismatch, DomainError, Error,
                             StepSizeOutOfRange, VariantMismatch, ZeroDensity)
 from adaptmc.kernels import (ArCoef, DiffusionTime1, DiscreteAr, DiscreteBase,
                              DiscreteRwm, GaussianAr, LangevinTuning,
-                             MatrixScale, PotentialSpec, Ula, coupled_step,
-                             potential_check, quadratic_potential, step)
+                             MatrixScale, PotentialSpec, Ula,
+                             quadratic_potential)
 from adaptmc.transport import sliced_w1, w2_gaussian, w_exact_1d
 
 
@@ -62,14 +62,6 @@ def test_quadratic_potential_constants():
     pot = quadratic_potential(np.diag([1.0, 4.0]))
     assert pot.convex_param == pytest.approx(1.0)
     assert pot.lip_param == pytest.approx(4.0)
-    assert potential_check(pot, 2, make_stream(3, 0)) == []
-
-
-def test_potential_check_catches_false_claims():
-    # claiming strong convexity 2 for the identity Hessian is false
-    bogus = PotentialSpec(gradient=lambda x: np.asarray(x),
-                          convex_param=2.0, lip_param=2.0)
-    assert len(potential_check(bogus, 2, make_stream(4, 0))) > 0
 
 
 # ------------------------------------------------------------------ DiscreteAr
@@ -124,7 +116,7 @@ def test_discrete_ar_coupling_contracts_exactly():
     stream = make_stream(8, 0)
     x, y = 0.731, 0.112
     for _ in range(50):
-        x1, y1 = coupled_step(kern, x, g, y, g, stream)
+        x1, y1 = kern.coupled_step(x, g, y, g, stream)
         assert abs(x1 - y1) == pytest.approx(abs(x - y) / 4.0, abs=1e-15)
         x, y = x1, y1
 
@@ -134,7 +126,7 @@ def test_discrete_ar_coupled_marginal_matches_single():
     ga, gb = DiscreteBase(2), DiscreteBase(5)
     n = 20000
     sa = make_stream(100, 0)
-    coupled_first = np.array([coupled_step(kern, 0.3, ga, 0.6, gb, sa)[0]
+    coupled_first = np.array([kern.coupled_step(0.3, ga, 0.6, gb, sa)[0]
                               for _ in range(n)])
     sb = make_stream(100, 1)
     single = np.array([kern.step(0.3, ga, sb) for _ in range(n)])
@@ -205,7 +197,7 @@ def test_gaussian_ar_coupling_contracts_exactly():
     x = np.array([3.0, 1.0])
     y = np.array([-1.0, 0.5])
     for _ in range(30):
-        x1, y1 = coupled_step(kern, x, g, y, g, stream)
+        x1, y1 = kern.coupled_step(x, g, y, g, stream)
         assert np.linalg.norm(x1 - y1) == pytest.approx(
             0.85 * np.linalg.norm(x - y), rel=1e-12)
         x, y = x1, y1
@@ -218,7 +210,7 @@ def test_gaussian_ar_coupled_marginal_matches_single():
     y0 = np.array([0.0, 2.0])
     n = 20000
     sa = make_stream(101, 0)
-    first = np.array([coupled_step(kern, x0, ga, y0, gb, sa)[0]
+    first = np.array([kern.coupled_step(x0, ga, y0, gb, sa)[0]
                       for _ in range(n)])
     sb = make_stream(101, 1)
     single = np.array([kern.step(x0, ga, sb) for _ in range(n)])
@@ -257,7 +249,7 @@ def test_ula_coupled_contraction_deterministic():
     for _ in range(100):
         x = rng.normal(size=2) * 3
         y = rng.normal(size=2) * 3
-        x1, y1 = coupled_step(kern, x, tun, y, tun, stream)
+        x1, y1 = kern.coupled_step(x, tun, y, tun, stream)
         lhs = float((x1 - y1) @ (x1 - y1))
         rhs = 0.68 * float((x - y) @ (x - y))
         assert lhs <= rhs + 1e-12
@@ -278,7 +270,7 @@ def test_ula_step_size_difference_drift_bound():
         h1, h2 = 0.05 + 0.15 * rng.uniform(size=2)
         t1 = LangevinTuning(m, step=float(h1))
         t2 = LangevinTuning(m, step=float(h2))
-        x1, x2 = coupled_step(kern, x, t1, x, t2, stream)
+        x1, x2 = kern.coupled_step(x, t1, x, t2, stream)
         noise_gap = abs(math.sqrt(2 * t1.step) - math.sqrt(2 * t2.step))
         drift_gap = np.linalg.norm(x1 - x2) - 0.0
         bound = abs(t1.step - t2.step) * pot.lip_param * np.linalg.norm(x)
@@ -299,7 +291,7 @@ def test_ula_coupled_marginal_matches_single():
     x0 = np.array([1.0, 1.0])
     n = 20000
     sa = make_stream(102, 0)
-    first = np.array([coupled_step(kern, x0, t1, x0, t2, sa)[0]
+    first = np.array([kern.coupled_step(x0, t1, x0, t2, sa)[0]
                       for _ in range(n)])
     sb = make_stream(102, 1)
     single = np.array([kern.step(x0, t1, sb) for _ in range(n)])
@@ -378,7 +370,7 @@ def test_diffusion_coupled_contraction_approaches_rate():
         pairs = [(np.array([1.0, 0.0]), np.array([0.0, 0.0])),
                  (np.array([2.0, 3.0]), np.array([-1.0, 1.0]))]
         for x, y in pairs:
-            x1, y1 = coupled_step(kern, x, tun, y, tun, stream)
+            x1, y1 = kern.coupled_step(x, tun, y, tun, stream)
             worst = max(worst, np.linalg.norm(x1 - y1) / np.linalg.norm(x - y))
         assert worst <= math.exp(-1.0) + 1e-12
         assert worst >= prev
@@ -458,12 +450,6 @@ def test_rwm_detailed_balance():
     assert np.abs(flux - flux.T).max() <= 1e-14
 
 
-def test_rwm_dobrushin_below_one():
-    kern = DiscreteRwm(grid1d(10), lambda p: 1.0 + float(p[0]) ** 2)
-    coef = kern.dobrushin_coefficient(MatrixScale(np.eye(1) * 0.8))
-    assert 0.0 < coef < 1.0
-
-
 def test_rwm_zero_density_state_raises():
     f = np.array([1.0, 0.0, 1.0, 1.0])
     kern = DiscreteRwm(grid1d(4), f)
@@ -529,17 +515,17 @@ def test_coupled_identical_inputs_identical_outputs():
          np.array([1.0, 0.0]), MatrixScale(np.eye(2))),
     ]
     for kern, x, tun in cases:
-        a, b = coupled_step(kern, x, tun, x, tun, make_stream(66, 1))
+        a, b = kern.coupled_step(x, tun, x, tun, make_stream(66, 1))
         assert np.allclose(a, b)
 
 
 def test_coupled_variant_mismatch():
     kern = GaussianAr(PsdMatrix.identity(2))
     with pytest.raises(VariantMismatch):
-        coupled_step(kern, np.zeros(2), ArCoef(0.5), np.zeros(2),
+        kern.coupled_step(np.zeros(2), ArCoef(0.5), np.zeros(2),
                      DiscreteBase(2), make_stream(0, 0))
     with pytest.raises(VariantMismatch):
-        step(DiscreteAr(), 0.5, ArCoef(0.5), make_stream(0, 0))
+        DiscreteAr().step(0.5, ArCoef(0.5), make_stream(0, 0))
 
 
 def _family_cases():

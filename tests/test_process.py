@@ -12,8 +12,7 @@ from adaptmc.kernels import (ArCoef, DiscreteAr, DiscreteBase, DiscreteRwm,
                              GaussianAr, LangevinTuning, MatrixScale, Ula,
                              quadratic_potential)
 from adaptmc.process import (AdaptiveTrajectory, iterate_adaptive,
-                             run_adaptive, run_ensemble,
-                             run_finite_adaptation)
+                             run_adaptive, run_ensemble)
 
 
 def dbase(*gs):
@@ -77,14 +76,14 @@ def test_finite_adaptation_prefix_agrees_bit_for_bit():
     init = (DiscreteBase(2), 0.7)
     t_stop = 60
     full = run_adaptive(kern, pol, init, 200, make_stream(11, 0))
-    twin = run_finite_adaptation(kern, pol, init, t_stop, 140,
-                                 make_stream(11, 0))
+    twin = run_adaptive(kern, FiniteAdaptation(t_stop, pol), init, 200,
+                        make_stream(11, 0))
     assert len(twin) == 201
     assert twin.states[:t_stop + 1] == full.states[:t_stop + 1]
     assert twin.tunings[:t_stop + 1] == full.tunings[:t_stop + 1]
     # frozen tail: tuning never moves again
     assert all(g == twin.tunings[t_stop] for g in twin.tunings[t_stop:])
-    assert twin.t_stop == t_stop
+    assert twin.states != full.states
 
 
 def test_t_stop_at_or_past_horizon_changes_nothing():
@@ -92,16 +91,19 @@ def test_t_stop_at_or_past_horizon_changes_nothing():
     pol = DiminishingDiscrete(candidates=dbase(2, 5), prob=harmonic)
     init = (DiscreteBase(2), 0.2)
     full = run_adaptive(kern, pol, init, 80, make_stream(4, 0))
-    twin = run_finite_adaptation(kern, pol, init, 80, 0, make_stream(4, 0))
-    assert twin.states == full.states
-    assert twin.tunings == full.tunings
+    for t_stop in (80, 200):
+        twin = run_adaptive(kern, FiniteAdaptation(t_stop, pol), init, 80,
+                            make_stream(4, 0))
+        assert twin.states == full.states
+        assert twin.tunings == full.tunings
 
 
 def test_t_stop_zero_is_plain_markov_chain():
     kern = DiscreteAr()
     pol = DiminishingDiscrete(candidates=dbase(2, 3, 4), prob=harmonic)
     init = (DiscreteBase(4), 0.9)
-    twin = run_finite_adaptation(kern, pol, init, 0, 50, make_stream(7, 0))
+    twin = run_adaptive(kern, FiniteAdaptation(0, pol), init, 50,
+                        make_stream(7, 0))
     assert all(g == DiscreteBase(4) for g in twin.tunings)
     # same draws as a hand-rolled non-adaptive loop on a fresh stream
     stream = make_stream(7, 0)
@@ -109,20 +111,6 @@ def test_t_stop_zero_is_plain_markov_chain():
     for t in range(1, 51):
         x = kern.step(x, DiscreteBase(4), stream)
         assert twin.states[t] == x
-
-
-def test_finite_policy_object_matches_t_stop_runner():
-    # a FiniteAdaptation policy inside run_adaptive and the t_stop runner
-    # freeze the same way and consume the same randomness
-    kern = DiscreteAr()
-    base = DiminishingDiscrete(candidates=dbase(2, 3, 4), prob=harmonic)
-    init = (DiscreteBase(2), 0.4)
-    via_policy = run_adaptive(kern, FiniteAdaptation(25, base), init, 100,
-                              make_stream(13, 0))
-    via_runner = run_finite_adaptation(kern, base, init, 25, 75,
-                                       make_stream(13, 0))
-    assert via_policy.states == via_runner.states
-    assert via_policy.tunings == via_runner.tunings
 
 
 def test_resume_from_stream_snapshot():
@@ -196,9 +184,10 @@ def test_verify_freeze_catches_a_doctored_trajectory():
     traj = AdaptiveTrajectory(
         seed=0, stream_id=0,
         tunings=[DiscreteBase(2), DiscreteBase(3)],
-        states=[0.1, 0.2], t_stop=0)
+        states=[0.1, 0.2])
     pol = DiminishingDiscrete(candidates=dbase(2, 3), prob=harmonic)
-    assert not traj.verify_freeze(pol)
+    assert traj.verify_freeze(pol)
+    assert not traj.verify_freeze(FiniteAdaptation(0, pol))
 
 
 def test_ensemble_point_init_checkpoint_zero():
@@ -261,7 +250,7 @@ def test_ensemble_argument_validation():
     with pytest.raises(ValueError):
         run_ensemble(kern, pol, init, 10, 4, [11], make_stream(1, 0))
     with pytest.raises(ValueError):
-        run_finite_adaptation(kern, pol, init, -1, 5, make_stream(1, 0))
+        FiniteAdaptation(-1, pol)
 
 
 class _Opaque:
