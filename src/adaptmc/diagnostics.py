@@ -153,8 +153,9 @@ def estimate_containment(kernel, tuning, x, eps, metric, n_max, pi_sampler,
     cloud from ``pi_sampler`` under the capped metric.  Estimates are
     upper-bound flavored, so a censored result means "not settled within
     n_max at this resolution", never a claim about the true value.
-    ``meta["ot_routes"]`` counts the exact-OT route ("assignment" or "lp")
-    of each capped-distance solve; the closed-form route makes none.
+    ``meta["ot_routes"]`` counts the exact-OT route of each capped-distance
+    solve ("assignment", "discrete-metric", "simplex" or "lp"; see
+    ``discrete_ot_exact``); the closed-form route makes none.
     """
     if not 0.0 < eps < 1.0:
         raise ParamOutOfRange("eps must lie in (0, 1)")
@@ -187,7 +188,8 @@ def estimate_containment(kernel, tuning, x, eps, metric, n_max, pi_sampler,
             res = bounded_distance(cloud, ref, base_metric=base,
                                    stream=stream.substream(2 + n))
             dist[n], err[n] = res.cost, res.error
-            ot_routes[res.meta["route"]] += 1
+            route = res.meta["route"]
+            ot_routes[route] = ot_routes.get(route, 0) + 1
         meta = {"route": "empirical", "replicas": replicas,
                 "reference": meta_pi}
     meta["ot_routes"] = ot_routes
@@ -541,13 +543,17 @@ class HarrisReport:
     one_step_margin: float
     t_step_margin: float
     t_checked: int
+    ot_routes: dict
 
 
-def _w_exact(cost, a, b):
-    return discrete_ot_exact(cost, a, b).cost
+def _w_exact(cost, a, b, routes):
+    # counts each solve's exact-OT route in ``routes``
+    res = discrete_ot_exact(cost, a, b)
+    routes[res.meta["route"]] = routes.get(res.meta["route"], 0) + 1
+    return res.cost
 
 
-def _check_harris_hypotheses(P, V, rho, c):
+def _check_harris_hypotheses(P, V, rho, c, routes):
     n = P.shape[0]
     pv = P @ V
     drift = pv - c.lam * V
@@ -564,7 +570,7 @@ def _check_harris_hypotheses(P, V, rho, c):
     inside = V <= c.R
     for i in range(n):
         for j in range(i + 1, n):
-            w_rho = _w_exact(rho, P[i], P[j])
+            w_rho = _w_exact(rho, P[i], P[j], routes)
             gap = w_rho - (1.0 - c.alpha) * rho[i, j]
             contr_slack = max(contr_slack, gap)
             if gap > 1e-9:
@@ -574,7 +580,7 @@ def _check_harris_hypotheses(P, V, rho, c):
                     f"{(1.0 - c.alpha) * rho[i, j]:.6g}")
             if inside[i] and inside[j]:
                 w_cap = (w_rho if capped_is_rho
-                         else _w_exact(capped, P[i], P[j]))
+                         else _w_exact(capped, P[i], P[j], routes))
                 gap = w_cap - (1.0 - c.kappa)
                 small_slack = max(small_slack, gap)
                 if gap > 1e-9:
@@ -624,7 +630,8 @@ def verify_harris_contraction(chains, V, rho, constants, t_max=20):
     contract in the drift-weighted metric by (1 - alpha_star) in one step,
     and the t-step distance to the stationary law must sit under the
     explicit envelope for t <= t_max.  A failure of the first part raises
-    HypothesisFailed; of the second, ContractionViolated.
+    HypothesisFailed; of the second, ContractionViolated.  The report's
+    ``ot_routes`` counts the exact-OT route of every solve.
     """
     if not isinstance(chains, dict):
         chains = {"chain": chains}
@@ -632,6 +639,7 @@ def verify_harris_contraction(chains, V, rho, constants, t_max=20):
     hyp = {}
     one_margin = -np.inf
     t_margin = -np.inf
+    routes = {}
     for label in labels:
         P = np.asarray(chains[label], dtype=float)
         n = P.shape[0]
@@ -641,12 +649,13 @@ def verify_harris_contraction(chains, V, rho, constants, t_max=20):
             raise DomainError(f"{label}: not a stochastic matrix")
         Vg = np.asarray(V[label] if isinstance(V, dict) else V, dtype=float)
         rho_m = np.asarray(rho, dtype=float)
-        hyp[label] = _check_harris_hypotheses(P, Vg, rho_m, constants)
+        hyp[label] = _check_harris_hypotheses(P, Vg, rho_m, constants,
+                                              routes)
         capped = np.minimum(rho_m, 1.0)
         cost = constants.metric_cost(capped, Vg, Vg)
         for i in range(n):
             for j in range(i + 1, n):
-                w = _w_exact(cost, P[i], P[j])
+                w = _w_exact(cost, P[i], P[j], routes)
                 gap = w - (1.0 - constants.alpha_star) * cost[i, j]
                 one_margin = max(one_margin, gap)
                 if gap > 1e-9:
@@ -658,7 +667,7 @@ def verify_harris_contraction(chains, V, rho, constants, t_max=20):
             Pt = Pt @ P
             env = constants.t_step_envelope(t, Vg)
             for i in range(n):
-                w = _w_exact(cost, Pt[i], pi)
+                w = _w_exact(cost, Pt[i], pi, routes)
                 gap = w - env[i]
                 t_margin = max(t_margin, gap)
                 if gap > 1e-9:
@@ -667,5 +676,6 @@ def verify_harris_contraction(chains, V, rho, constants, t_max=20):
                         f"gap {gap:.3g}")
     return HarrisReport(labels=labels, hypothesis_slack=hyp,
                         one_step_margin=float(one_margin),
-                        t_step_margin=float(t_margin), t_checked=t_max)
+                        t_step_margin=float(t_margin), t_checked=t_max,
+                        ot_routes=routes)
 

@@ -125,6 +125,12 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _required(p, name):
+    if name not in p:
+        raise SchemaError(f"params.{name}: required")
+    return p[name]
+
+
 def _int_param(p, name, default, least):
     v = p.get(name, default)
     if not (_is_int(v) and v >= least):
@@ -265,11 +271,11 @@ def _run_containment(cfg, out_dir, stream):
     tuning = build_tuning(cfg.init["tuning"])
     p = cfg.params
     scalar_state = cfg.kernel["family"] in ("discrete-ar", "discrete-rwm")
-    x = p["x"]
+    x = _required(p, "x")
     x = float(x) if scalar_state else np.atleast_1d(np.asarray(x,
                                                                dtype=float))
-    eps_grid = sorted((p["eps"] if isinstance(p["eps"], list)
-                       else [p["eps"]]), reverse=True)
+    eps = _required(p, "eps")
+    eps_grid = sorted(eps if isinstance(eps, list) else [eps], reverse=True)
     n_max = _int_param(p, "n_max", 32, 0)
     replicas = _int_param(p, "replicas", 128, 2)
     metric = _build_metric(cfg.metric)
@@ -433,10 +439,14 @@ _HARRIS_FIELDS = ("lam", "K", "kappa", "alpha", "delta", "beta_star", "R",
                   "f1", "f2", "f3", "alpha_star")
 
 
+def _constants_from_params(p):
+    return harris_constants(*(float(_required(p, f))
+                              for f in ("lam", "K", "kappa", "alpha",
+                                        "delta")))
+
+
 def _run_harris(cfg, out_dir, stream):
-    p = cfg.params
-    c = harris_constants(float(p["lam"]), float(p["K"]), float(p["kappa"]),
-                         float(p["alpha"]), float(p["delta"]))
+    c = _constants_from_params(cfg.params)
     files = _write_csv(out_dir, "harris", list(_HARRIS_FIELDS),
                        [[float(getattr(c, f)) for f in _HARRIS_FIELDS]],
                        {f: "" for f in _HARRIS_FIELDS})
@@ -447,27 +457,27 @@ def _run_harris(cfg, out_dir, stream):
 
 def _run_harris_verify(cfg, out_dir, stream):
     p = cfg.params
-    c = harris_constants(float(p["lam"]), float(p["K"]), float(p["kappa"]),
-                         float(p["alpha"]), float(p["delta"]))
-    V = _float_array(p["V"], "params.V", 1)
+    c = _constants_from_params(p)
+    V = _float_array(_required(p, "V"), "params.V", 1)
     n = len(V)
     chains = {"chain%d" % i: _square_param(
         spec["matrix"], "params.chains[%d].matrix" % i, n)
-        for i, spec in enumerate(p["chains"])}
+        for i, spec in enumerate(_required(p, "chains"))}
+    t_max = _int_param(p, "t_max", 10, 1)
     if "rho" in p:
         rho = _square_param(p["rho"], "params.rho", n)
     else:
         rho = (1.0 - np.eye(n))
     code = 0
     try:
-        rep = verify_harris_contraction(chains, V, rho, c,
-                                        t_max=int(p.get("t_max", 10)))
+        rep = verify_harris_contraction(chains, V, rho, c, t_max=t_max)
         rows = [[lab, float(rep.one_step_margin),
                  float(rep.t_step_margin)] for lab in rep.labels]
         summary = {"kind": cfg.kind, "violated": False,
                    "one_step_margin": float(rep.one_step_margin),
                    "t_step_margin": float(rep.t_step_margin),
                    "t_checked": int(rep.t_checked),
+                   "ot_routes": rep.ot_routes,
                    "hypothesis_slack": {
                        lab: {k: float(v) for k, v in slack.items()}
                        for lab, slack in rep.hypothesis_slack.items()}}

@@ -4,13 +4,13 @@ Four evaluation routes with different exactness/scale tradeoffs:
 
 * :func:`w_exact_1d`: exact quantile coupling, 1-D, convex costs only.
 * :func:`discrete_ot_exact`: exact transport for arbitrary cost matrices,
-  certified by dual feasibility and the duality gap.  Square problems with
-  constant weights (uniform clouds of equal size) are solved as an
-  assignment, with duals from Bellman-Ford over the reduced costs; all
-  others, and any assignment whose certificate fails, by a HiGHS LP.  The
-  capped metric ``rho /\\ 1`` is not convex in the 1-D sense, so quantile
-  coupling is suboptimal for it and everything capped funnels through
-  this solver.
+  certified by dual feasibility and the duality gap.  It picks one of four
+  routes from the input: an assignment for uniform clouds of equal size,
+  a closed form when the cost is the discrete metric, a transportation
+  simplex for other small problems, and a HiGHS LP for the rest and for
+  any route whose certificate fails.  The capped metric ``rho /\\ 1`` is
+  not convex in the 1-D sense, so quantile coupling is suboptimal for it
+  and everything capped funnels through this solver.
 * :func:`w2_gaussian`: closed form for Gaussian laws.
 * :func:`sliced_w1`: projection-averaged lower-bound surrogate at scale.
 
@@ -36,6 +36,10 @@ PLAN_TOL = 1e-8           # marginal / cost-consistency tolerance on plans;
                           # per-entry residuals near 1e-10, which row sums
                           # accumulate past that level
 CERT_TOL = 1e-9           # dual-feasibility certificate tolerance
+SIMPLEX_ENTRIES = 256     # largest n*m sent to the transportation simplex
+                          # (16x16), well inside its lead over the LP
+SIMPLEX_PIVOTS = 1000     # pivot cap of the simplex before the LP takes over
+SIMPLEX_TOL = 1e-12       # reduced cost (rescaled units) counted as optimal
 
 
 def euclidean_metric(x, y):
@@ -73,8 +77,11 @@ class TransportResult:
 
 
 def _check_plan(plan, w_mu, w_nu, plan_cost, cost_of_plan):
-    row = np.asarray(plan.sum(axis=1)).ravel()
-    col = np.asarray(plan.sum(axis=0)).ravel()
+    # bincount over the COO entries: scipy's sparse sum costs more than
+    # the small solves it checks
+    n, m = plan.shape
+    row = np.bincount(plan.row, weights=plan.data, minlength=n)
+    col = np.bincount(plan.col, weights=plan.data, minlength=m)
     if np.abs(row - w_mu).max() > PLAN_TOL or np.abs(col - w_nu).max() > PLAN_TOL:
         raise Error("transport plan marginals drifted beyond tolerance")
     scale = max(abs(plan_cost), 1.0)
@@ -179,6 +186,95 @@ def _assignment_route(cs, a, b):
     return diag @ a, diag - v[sigma], v, plan
 
 
+def _discrete_metric_route(cs, a, b):
+    # cs = 1 - I: the value is the total-variation distance.  The plan keeps
+    # min(a, b) in place and spreads each excess over the deficits in
+    # proportion; u = 1[a > b], v = -u is feasible (u_i - u_j <= 1) and
+    # attains the value.
+    excess = np.maximum(a - b, 0.0)
+    deficit = np.maximum(b - a, 0.0)
+    moved = deficit.sum()
+    dense = np.diag(np.minimum(a, b))
+    if moved > 0.0:
+        dense += np.outer(excess, deficit) / moved
+    u = (a > b).astype(float)
+    plan = sparse.coo_array(dense)
+    plan.eliminate_zeros()
+    return 0.5 * np.abs(a - b).sum(), u, -u, plan
+
+
+def _simplex_route(cs, a, b):
+    # Transportation simplex (u-v method) from a north-west-corner basis.
+    # The basis is a spanning tree on rows 0..n-1 and columns n..n+m-1; one
+    # walk from row 0 gives the duals (u_i + v_j = cs_ij on the tree) and
+    # the parents that close each entering cell's cycle.  Returns None at
+    # the pivot cap, and the caller falls back to the LP.
+    n, m = cs.shape
+    x = np.zeros((n, m))
+    adj = [set() for _ in range(n + m)]
+    ra, rb = a.tolist(), b.tolist()
+    i = j = 0
+    while True:
+        q = min(ra[i], rb[j])
+        x[i, j] = q
+        ra[i] -= q
+        rb[j] -= q
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+        if i == n - 1 and j == m - 1:
+            break
+        if j == m - 1 or (i < n - 1 and ra[i] <= rb[j]):
+            i += 1
+        else:
+            j += 1
+    edge = np.zeros((n + m, n + m))    # edge[k][w]: cost of tree edge k-w
+    edge[:n, n:] = cs
+    edge[n:, :n] = cs.T
+    edge = edge.tolist()
+    for _ in range(SIMPLEX_PIVOTS):
+        pot = [0.0] * (n + m)
+        parent = [-1] * (n + m)
+        depth = [0] * (n + m)
+        order = [0]
+        for k in order:
+            for w in adj[k]:
+                if w != parent[k]:
+                    parent[w], depth[w] = k, depth[k] + 1
+                    pot[w] = edge[k][w] - pot[k]
+                    order.append(w)
+        u, v = np.array(pot[:n]), np.array(pot[n:])
+        reduced = cs - u[:, None] - v[None, :]
+        p, q = divmod(int(reduced.argmin()), m)
+        if reduced[p, q] >= -SIMPLEX_TOL:
+            plan = sparse.coo_array(x)
+            plan.eliminate_zeros()
+            return float((x * cs).sum()), u, v, plan
+        # tree path from row p to column q; with the entering cell it is
+        # a cycle whose cells alternate -, +, ... starting at row p
+        left, right = [p], [n + q]
+        while left[-1] != right[-1]:
+            if depth[left[-1]] >= depth[right[-1]]:
+                left.append(parent[left[-1]])
+            else:
+                right.append(parent[right[-1]])
+        path = left + right[-2::-1]
+        cells = [(s, t - n) if s < n else (t, s - n)
+                 for s, t in zip(path, path[1:])]
+        minus = cells[0::2]
+        leave = min(minus, key=lambda c: x[c])
+        theta = x[leave]
+        for c in minus:
+            x[c] -= theta
+        for c in cells[1::2]:
+            x[c] += theta
+        x[p, q] = theta
+        adj[leave[0]].discard(n + leave[1])
+        adj[n + leave[1]].discard(leave[0])
+        adj[p].add(n + q)
+        adj[n + q].add(p)
+    return None
+
+
 def discrete_ot_exact(cost, w_mu, w_nu):
     """Exact optimal transport for an explicit cost matrix.
 
@@ -188,12 +284,25 @@ def discrete_ot_exact(cost, w_mu, w_nu):
     Costs are pre-scaled so the largest entry is 1, which keeps CERT_TOL
     meaningful.
 
-    The route is chosen from the input.  Square problems with constant
-    weights on both sides take the assignment route: a Hungarian-type
-    solver finds an optimal permutation and Bellman-Ford over the reduced
-    costs recovers the duals.  Every other problem, and an assignment
-    result whose certificate fails, takes the LP route (HiGHS dual
-    simplex), whose certificate must hold.
+    The route is chosen from the input, in this order:
+
+    * "assignment": square problems with constant weights on both sides.
+      A Hungarian-type solver finds an optimal permutation and
+      Bellman-Ford over the reduced costs recovers the duals.
+    * "discrete-metric": the rescaled cost is exactly 1 - I (square,
+      n >= 2).  The value is the total-variation distance ||a - b||_1 / 2,
+      proved by the dual u = 1[a > b], v = -u.
+    * "simplex": n*m <= SIMPLEX_ENTRIES (256).  A transportation simplex
+      (u-v method from a north-west-corner basis), capped at
+      SIMPLEX_PIVOTS pivots.  Against the LP route on random non-uniform
+      square problems (2-CPU x86 machine, one thread) it took 0.5 ms
+      against 5.7 ms at 8x8 and 1.8 ms against 6.9 ms at 16x16; the lead
+      shrinks to 1.5x at 32x32 and is gone near 48x48.
+    * "lp": everything else (HiGHS dual simplex).
+
+    A route that fails its certificate, or a simplex that reaches its
+    pivot cap, hands the problem to the LP route, whose certificate must
+    hold.
 
     Parameters
     ----------
@@ -209,7 +318,8 @@ def discrete_ot_exact(cost, w_mu, w_nu):
     TransportResult
         cost = optimal value, plan = optimal basic plan, error = certified
         duality gap (in original cost units), meta carries the duals and
-        the route taken ("assignment" or "lp").
+        the route taken ("assignment", "discrete-metric", "simplex" or
+        "lp").
 
     Raises
     ------
@@ -240,9 +350,19 @@ def discrete_ot_exact(cost, w_mu, w_nu):
 
     scale = c.max() or 1.0   # an all-zero cost is solved as is
     cs = c / scale
-    uniform = n == m and np.all(a == a[0]) and np.all(b == b[0])
-    for route in ("assignment", "lp") if uniform else ("lp",):
-        fun, u, v, plan = _ROUTES[route](cs, a, b)
+    if n == m and np.all(a == a[0]) and np.all(b == b[0]):
+        routes = ("assignment", "lp")
+    elif n == m > 1 and np.all(cs == 1.0 - np.eye(n)):
+        routes = ("discrete-metric", "lp")
+    elif n * m <= SIMPLEX_ENTRIES:
+        routes = ("simplex", "lp")
+    else:
+        routes = ("lp",)
+    for route in routes:
+        out = _ROUTES[route](cs, a, b)
+        if out is None:
+            continue
+        fun, u, v, plan = out
         slack = ((u[:, None] + v[None, :]) - cs).max()
         gap = abs(fun - (u @ a + v @ b))
         if slack <= CERT_TOL and gap <= CERT_TOL:
@@ -260,7 +380,9 @@ def discrete_ot_exact(cost, w_mu, w_nu):
               "route": route})
 
 
-_ROUTES = {"assignment": _assignment_route, "lp": _lp_route}
+_ROUTES = {"assignment": _assignment_route,
+           "discrete-metric": _discrete_metric_route,
+           "simplex": _simplex_route, "lp": _lp_route}
 
 
 def w2_gaussian(m1, c1, m2, c2):

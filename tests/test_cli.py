@@ -257,8 +257,10 @@ def test_harris_verify_pass_and_fail(tmp_path, capsys):
     ("chains[0].matrix", "matrix", [[0.7, 0.3], [0.4]]),
     ("rho", "rho", [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
     ("rho", "rho", [0.0, 0.5]),
+    ("t_max", "t_max", 0),
+    ("t_max", "t_max", -2),
 ], ids=["V-longer-than-chain", "chain-not-square", "chain-ragged",
-        "rho-3x3", "rho-vector"])
+        "rho-3x3", "rho-vector", "t_max-0", "t_max-negative"])
 def test_harris_verify_bad_shapes_exit_2(tmp_path, capsys, field, bad,
                                          value):
     params = {"lam": 0.5, "K": 0.1, "kappa": 0.5, "alpha": 0.5,
@@ -276,6 +278,51 @@ def test_harris_verify_bad_shapes_exit_2(tmp_path, capsys, field, bad,
     err = capsys.readouterr().err
     assert "params." + field in err and "Traceback" not in err
     assert not (out / "margins.csv").exists()
+
+
+_HARRIS_PARAMS = {"lam": 0.5, "K": 0.1, "kappa": 0.5, "alpha": 0.5,
+                  "delta": 0.1, "t_max": 6,
+                  "chains": [{"matrix": [[0.7, 0.3], [0.4, 0.6]]}],
+                  "V": [0.0, 0.0]}
+_CONTAINMENT_DOC = {"kind": "containment", "seed": 2,
+                    "kernel": {"family": "gaussian-ar", "cov_sqrt": [[1.0]]},
+                    "init": {"tuning": {"variant": "ar-coef", "gamma": 0.5}},
+                    "params": {"x": [2.0], "eps": [0.5], "n_max": 3,
+                               "replicas": 8}}
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("harris-verify", f) for f in ("lam", "K", "kappa", "alpha", "delta",
+                                   "V", "chains")
+] + [("containment", "x"), ("containment", "eps")])
+def test_missing_required_param_exits_2(tmp_path, capsys, kind, field):
+    if kind == "harris-verify":
+        doc = {"kind": kind, "seed": 1, "params": dict(_HARRIS_PARAMS)}
+    else:
+        doc = json.loads(json.dumps(_CONTAINMENT_DOC))
+    del doc["params"][field]
+    cfg = write_cfg(tmp_path, doc)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "params." + field in err and "Traceback" not in err
+
+
+def test_harris_verify_counts_ot_routes(tmp_path):
+    # three states with distinct V: the contraction pairs see the discrete
+    # metric, the drift-weighted one-step and t-step problems do not
+    P = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
+    V = np.array([0.0, 1.0, 2.0])
+    K = float((P @ V - 0.5 * V).max()) + 0.01
+    params = {"lam": 0.5, "K": K, "kappa": 0.6, "alpha": 0.2, "delta": 0.1,
+              "t_max": 4, "chains": [{"matrix": P.tolist()}],
+              "V": V.tolist(), "rho": (0.5 * (1.0 - np.eye(3))).tolist()}
+    cfg = write_cfg(tmp_path, {"kind": "harris-verify", "seed": 1,
+                               "params": params})
+    out = tmp_path / "out"
+    assert main(["harris-verify", "--config", cfg, "--out", str(out)]) == 0
+    s = json.loads((out / "summary.json").read_text())
+    # 3 contraction pairs; 3 one-step pairs + 4 x 3 t-step rows
+    assert s["ot_routes"] == {"discrete-metric": 3, "simplex": 15}
 
 
 @pytest.mark.parametrize("field, value", [

@@ -3,8 +3,9 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from adaptmc import transport
 from adaptmc.core import EmpiricalMeasure, make_stream
@@ -184,14 +185,15 @@ def test_ot_assignment_route_matches_bruteforce_and_lp(c):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+@given(st.integers(17, 20), st.integers(17, 20), st.booleans(), st.data())
 def test_ot_other_weights_take_the_lp_route(n, m, uniform, data):
+    # every shape here has more than SIMPLEX_ENTRIES cost entries
     if uniform:
         if n == m:
             m += 1
         a, b = np.full(n, 1.0 / n), np.full(m, 1.0 / m)
     else:
-        m = n = max(n, 2)
+        m = n
         raw = np.asarray(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n,
                                             max_size=n)))
         if np.all(raw == raw[0]):
@@ -203,6 +205,73 @@ def test_ot_other_weights_take_the_lp_route(n, m, uniform, data):
     assert r.meta["route"] == "lp"
     assert abs(r.cost - _lp_value(c, a, b)) <= 1e-12
     _assert_certified(r, c)
+
+
+def _counts(data, k, total):
+    # k nonnegative integers summing to total
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=k - 1,
+                                     max_size=k - 1)))
+    return np.diff([0] + cuts + [total])
+
+
+def _is_discrete_metric(c):
+    n, m = c.shape
+    return n == m > 1 and c.max() > 0 and np.all(c / c.max()
+                                                  == 1.0 - np.eye(n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 8), st.data())
+def test_ot_simplex_route_matches_repeated_atom_assignment(n, m, total,
+                                                           data):
+    ka, kb = _counts(data, n, total), _counts(data, m, total)
+    a, b = ka / total, kb / total
+    entries = data.draw(st.lists(_ENTRY, min_size=n * m, max_size=n * m))
+    c = np.minimum(np.reshape(entries, (n, m)), 1.0)
+    assume(not (n == m and np.all(a == a[0]) and np.all(b == b[0])))
+    assume(not _is_discrete_metric(c))
+    r = discrete_ot_exact(c, a, b)
+    assert r.meta["route"] == "simplex"
+    # integer marginals admit an integral optimal plan, so repeating atom
+    # i ka[i] times turns the problem into an exact total x total assignment
+    big = c[np.repeat(np.arange(n), ka)][:, np.repeat(np.arange(m), kb)]
+    rows, cols = linear_sum_assignment(big)
+    assert abs(r.cost - big[rows, cols].sum() / total) <= 1e-12
+    _assert_certified(r, c)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], 0.0),
+    ([1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], 0.9),
+    ([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75], 1.0),
+    ([0.4, 0.1, 0.3, 0.2], [0.1, 0.2, 0.3, 0.4], 0.3),
+], ids=["equal", "point-mass", "disjoint", "mixed"])
+def test_ot_discrete_metric_route_is_total_variation(a, b, want):
+    c = 0.5 * (1.0 - np.eye(4))
+    a, b = np.asarray(a), np.asarray(b)
+    r = discrete_ot_exact(c, a, b)
+    assert r.meta["route"] == "discrete-metric"
+    assert abs(r.cost - 0.5 * want) <= 1e-15
+    assert abs(r.cost - _lp_value(c, a, b)) <= 1e-12
+    _assert_certified(r, c)
+    # min(a, b) stays in place
+    assert np.array_equal(r.plan.toarray().diagonal(), np.minimum(a, b))
+
+
+def test_ot_discrete_metric_needs_the_exact_shape():
+    a = np.array([0.4, 0.1, 0.3, 0.2])
+    b = np.array([0.1, 0.2, 0.3, 0.4])
+    c = 0.5 * (1.0 - np.eye(4))
+    w = np.full(4, 0.25)
+    assert discrete_ot_exact(c, w, w).meta["route"] == "assignment"
+    off = c.copy()
+    off[0, 1] = 0.4
+    nonzero_diag = c + 0.1 * np.eye(4)
+    for cost in (off, nonzero_diag, c[:, :3]):
+        aa = a[:cost.shape[0]] / a[:cost.shape[0]].sum()
+        r = discrete_ot_exact(cost, aa, b[:cost.shape[1]] /
+                              b[:cost.shape[1]].sum())
+        assert r.meta["route"] == "simplex"
 
 
 def test_ot_failed_assignment_certificate_falls_back_to_lp(monkeypatch):
@@ -218,6 +287,38 @@ def test_ot_failed_assignment_certificate_falls_back_to_lp(monkeypatch):
     r = discrete_ot_exact(c, w, w)
     assert r.meta["route"] == "lp"
     assert abs(r.cost - _lp_value(c, w, w)) <= 1e-12
+    _assert_certified(r, c)
+
+
+def test_ot_failed_discrete_metric_certificate_falls_back_to_lp(
+        monkeypatch):
+    c = 0.5 * (1.0 - np.eye(4))
+    a = np.array([0.4, 0.1, 0.3, 0.2])
+    b = np.array([0.1, 0.2, 0.3, 0.4])
+
+    def uncertified(cs, a, b):
+        fun, u, v, plan = transport._discrete_metric_route(cs, a, b)
+        return fun, u + 1e-6, v, plan   # duals now infeasible
+
+    monkeypatch.setitem(transport._ROUTES, "discrete-metric", uncertified)
+    r = discrete_ot_exact(c, a, b)
+    assert r.meta["route"] == "lp"
+    assert abs(r.cost - 0.15) <= 1e-12
+    _assert_certified(r, c)
+
+
+def test_ot_simplex_pivot_cap_falls_back_to_lp(monkeypatch):
+    rng = np.random.default_rng(5)
+    c = rng.uniform(size=(6, 7))
+    a = rng.uniform(size=6)
+    b = rng.uniform(size=7)
+    a, b = a / a.sum(), b / b.sum()
+    assert discrete_ot_exact(c, a, b).meta["route"] == "simplex"
+    monkeypatch.setattr(transport, "SIMPLEX_PIVOTS", 0)
+    assert transport._simplex_route(c / c.max(), a, b) is None
+    r = discrete_ot_exact(c, a, b)
+    assert r.meta["route"] == "lp"
+    assert abs(r.cost - _lp_value(c, a, b)) <= 1e-12
     _assert_certified(r, c)
 
 
